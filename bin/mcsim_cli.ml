@@ -181,50 +181,6 @@ let steering_arg =
        & opt steering_conv Mcsim_cluster.Steering.Static
        & info [ "steering" ] ~docv:"POLICY" ~doc)
 
-(* A dynamic policy on a machine with nowhere to steer to is a usage
-   error, reported as a one-line message (not silently a no-op). *)
-let check_steerable ~what ~steering ~n_clusters =
-  Mcsim_cluster.Steering.require_clustered ~what steering ~clusters:n_clusters
-
-(* --clusters overrides the single/dual selection; --topology applies
-   either way (it is part of the machine config, hence of manifests and
-   cache identities). Validation of the count itself lives in
-   [Machine.config_for_clusters], whose [Invalid_argument] surfaces as a
-   one-line error through [Cli_errors.wrap]. *)
-let config_of ?(what = "run") ~machine ~clusters ~topology ~steering () =
-  let base =
-    match clusters with
-    | Some n -> Mcsim_cluster.Machine.config_for_clusters ~topology n
-    | None -> (
-      match machine with
-      | `Single -> Mcsim_cluster.Machine.single_cluster ()
-      | `Dual -> Mcsim_cluster.Machine.dual_cluster ())
-  in
-  check_steerable ~what ~steering
-    ~n_clusters:(Mcsim_cluster.Assignment.num_clusters base.Mcsim_cluster.Machine.assignment);
-  { base with Mcsim_cluster.Machine.topology; steering }
-
-(* Binaries are compiled for the cluster count they run on; without
-   --clusters that is the historical default of 2 (the single-cluster
-   machine runs the same native binary the dual machine does). *)
-let compile_clusters = function Some n -> n | None -> 2
-
-let machine_desc ~machine ~clusters ~topology ~steering =
-  let steer =
-    if Mcsim_cluster.Steering.is_dynamic steering then
-      Printf.sprintf ", %s-steered" (Mcsim_cluster.Steering.to_string steering)
-    else ""
-  in
-  match clusters with
-  | Some n ->
-    Printf.sprintf "%d-cluster (%s%s)" n
-      (Mcsim_cluster.Interconnect.to_string topology)
-      steer
-  | None -> (
-    match machine with
-    | `Single -> "single-cluster"
-    | `Dual -> "dual-cluster" ^ steer)
-
 let bench_conv =
   let parse s =
     match Mcsim_workload.Spec92.of_name s with
@@ -240,12 +196,19 @@ let benchmarks_arg =
 let bench_pos =
   Arg.(required & pos 0 (some bench_conv) None & info [] ~docv:"BENCHMARK")
 
-(* ------------------------------------------------------------------ *)
+let machine_arg =
+  Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
+       & info [ "machine" ] ~doc:"Machine to run on: single or dual.")
 
-let table1_cmd =
-  let run () = print_string (Mcsim.Config.table1 ()) in
-  Cmd.v (Cmd.info "table1" ~doc:"Print Table 1 (issue rules and latencies).")
-    Term.(const run $ const ())
+let scheduler_arg =
+  let parse s =
+    match Mcsim_compiler.Pipeline.scheduler_of_name s with
+    | Some sched -> Ok sched
+    | None -> Error (`Msg (Printf.sprintf "unknown scheduler %S" s))
+  in
+  let print fmt s = Format.pp_print_string fmt (Mcsim_compiler.Pipeline.scheduler_name s) in
+  Arg.(value & opt (conv (parse, print)) Mcsim_compiler.Pipeline.default_local
+       & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
 
 let csv_arg =
   Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a text table.")
@@ -254,112 +217,174 @@ let four_way_arg =
   Arg.(value & flag
        & info [ "four-way" ] ~doc:"Use the four-way-issue machine pair instead of eight-way.")
 
-(* The body of the table2 command, shared with `mcsim resume`. *)
-let table2_impl ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters ~topology ~steering
-    ~jobs ~sample ~engine ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache () =
-  let t_start = Unix.gettimeofday () in
-  if four_way && clusters <> None then
-    failwith "table2: --four-way and --clusters are mutually exclusive";
-  if clusters = Some 1 then check_steerable ~what:"table2" ~steering ~n_clusters:1;
-  (* Steering applies to the clustered side of the pair; the single-cluster
-     baseline has nowhere to steer and stays static. *)
-  let single_config, dual_config =
-    if four_way then
-      (Some { (Mcsim_cluster.Machine.single_cluster_4 ()) with Mcsim_cluster.Machine.topology },
-       Some
-         { (Mcsim_cluster.Machine.dual_cluster_2x2 ()) with
-           Mcsim_cluster.Machine.topology;
-           steering })
-    else
-      match clusters with
-      | Some n ->
-        ( None,
-          Some
-            { (Mcsim_cluster.Machine.config_for_clusters ~topology n) with
-              Mcsim_cluster.Machine.steering } )
-      | None ->
-        ( None,
-          Some
-            { (Mcsim_cluster.Machine.dual_cluster ()) with
-              Mcsim_cluster.Machine.topology;
-              steering } )
+module P = Mcsim_serve.Protocol
+module Sweep = Mcsim_serve.Sweep
+
+(* The one place the machine knobs become a sweep: `run`/`submit run`
+   and `sample`/`submit sample` share [single_sweep], `table2`/`submit
+   table2` share [table2_sweep], and `mcsim resume` decodes the same
+   record from command.json. *)
+let single_sweep kind =
+  let make bench machine clusters topology steering scheduler max_instrs seed engine sample =
+    match kind with
+    | `Run ->
+      P.Run { bench; machine; scheduler; max_instrs; seed; engine; clusters; topology; steering }
+    | `Sample ->
+      let policy = Option.value sample ~default:Mcsim_sampling.Sampling.default_policy in
+      let policy = { policy with Mcsim_sampling.Sampling.seed } in
+      P.Sample
+        { bench; machine; scheduler; max_instrs; seed; engine; policy; clusters; topology; steering }
   in
-  let sampling = Option.map (fun p -> { p with Mcsim_sampling.Sampling.seed }) sample in
-  let report =
-    Mcsim.Table2.run_report ~jobs ~max_instrs ~seed ~benchmarks ~engine ?sampling
-      ?single_config ?dual_config ~retries ?checkpoint ?trace_cache ?result_cache ()
+  let sample = match kind with `Run -> Term.const None | `Sample -> sample_arg in
+  Term.(const make $ bench_pos $ machine_arg $ clusters_arg $ topology_arg $ steering_arg
+        $ scheduler_arg $ max_instrs_arg $ seed_arg $ engine_arg $ sample)
+
+let table2_sweep =
+  let make max_instrs seed benchmarks four_way clusters topology steering sample engine =
+    let sampling = Option.map (fun p -> { p with Mcsim_sampling.Sampling.seed }) sample in
+    P.Table2
+      { benchmarks; max_instrs; seed; engine; sampling; four_way; clusters; topology; steering }
   in
-  let rows = report.Mcsim.Table2.rows in
-  List.iter
-    (fun (b, msg) -> Printf.eprintf "[FAILED] %s: %s\n%!" b msg)
-    report.Mcsim.Table2.failed;
-  if csv then print_string (Mcsim.Report.table2_csv rows)
-  else begin
-    (match sampling with
-    | Some p ->
-      Printf.printf "(sampled: policy %s, cycle columns are extrapolations)\n"
-        (Mcsim_sampling.Sampling.policy_to_string p)
-    | None -> ());
-    print_string (Mcsim.Table2.render rows);
-    print_newline ();
-    List.iter
-      (fun (ok, what) -> Printf.printf "[%s] %s\n" (if ok then "ok" else "FAIL") what)
-      (Mcsim.Table2.shape_holds rows)
-  end;
-  (match metrics_out with
+  Term.(const make $ max_instrs_arg $ seed_arg $ benchmarks_arg $ four_way_arg $ clusters_arg
+        $ topology_arg $ steering_arg $ sample_arg $ engine_arg)
+
+(* The output-only flags of a batch command; the ones a command lacks
+   are off. *)
+let outputs ?(csv = Term.const false) ?(full = Term.const false)
+    ?(profile = Term.const false) () =
+  let make csv full profile metrics_out retries trace_cache result_cache =
+    { Sweep.csv; full; profile; metrics_out; retries; trace_cache; result_cache }
+  in
+  Term.(const make $ csv $ full $ profile $ metrics_out_arg $ retries_arg $ trace_cache_arg
+        $ result_cache_arg)
+
+(* ------------------------------------------------------------------ *)
+
+let table1_cmd =
+  let run () = print_string (Mcsim.Config.table1 ()) in
+  Cmd.v (Cmd.info "table1" ~doc:"Print Table 1 (issue rules and latencies).")
+    Term.(const run $ const ())
+
+(* The --metrics-out snapshot: the sweep's manifest, stamped now. *)
+let write_metrics ~t_start ?trace_instrs ?result ?profile ?sampling ?extra sweep = function
   | None -> ()
   | Some path ->
-    let cfg =
-      match dual_config with
-      | Some c -> c
-      | None -> { (Mcsim_cluster.Machine.dual_cluster ()) with Mcsim_cluster.Machine.steering }
-    in
+    let m = Sweep.manifest sweep in
     let manifest =
-      Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
-        ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
-        ~trace_instrs:max_instrs ?sampling cfg
+      { m with
+        Mcsim_obs.Manifest.created_unix = Unix.time ();
+        trace_instrs = (if trace_instrs = None then m.trace_instrs else trace_instrs) }
     in
     Mcsim_obs.Metrics.write_file path
-      (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"table2"
-         ~wall_seconds:(Unix.gettimeofday () -. t_start)
-         ~extra:[ ("table2", Mcsim.Report.table2_json rows) ]
-         ()));
-  if report.Mcsim.Table2.failed <> [] then
-    failwith
-      (Printf.sprintf "%d of %d benchmarks failed permanently%s"
-         (List.length report.Mcsim.Table2.failed)
-         (List.length benchmarks)
-         (match checkpoint with
-         | Some dir ->
-           Printf.sprintf
-             "; completed units are saved under %s — rerun or 'mcsim resume %s' to retry"
-             dir dir
-         | None -> "; rerun with --checkpoint DIR to make progress durable"))
+      (Mcsim_obs.Metrics.snapshot ~manifest ~kind:(P.sweep_kind sweep) ?result ?profile
+         ?sampling ~wall_seconds:(Unix.gettimeofday () -. t_start) ?extra ())
 
-let cluster_command_fields ~clusters ~topology ~steering =
-  [ ("clusters", match clusters with Some n -> Json.Int n | None -> Json.Null);
-    ("topology", Json.String (Mcsim_cluster.Interconnect.to_string topology));
-    ("steering", Json.String (Mcsim_cluster.Steering.to_string steering)) ]
+let headline sweep cached =
+  Printf.printf "%s:%s\n" (Sweep.describe sweep) (if cached then " (from cache)" else "")
 
-let table2_command_json ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters ~topology
-    ~steering ~sample ~engine ~metrics_out ~retries ~trace_cache ~result_cache =
-  cluster_command_fields ~clusters ~topology ~steering
-  @ [ ("command", Json.String "table2");
-    ("benchmarks",
-     Json.List (List.map (fun b -> Json.String (Mcsim_workload.Spec92.name b)) benchmarks));
-    ("max_instrs", Json.Int max_instrs);
-    ("seed", Json.Int seed);
-    ("engine", Json.String (Mcsim_obs.Manifest.engine_name engine));
-    ("sampling",
-     match sample with
-     | Some p -> Json.String (Mcsim_sampling.Sampling.policy_to_string p)
-     | None -> Json.Null);
-    ("csv", Json.Bool csv);
-    ("four_way", Json.Bool four_way);
-    ("metrics_out", match metrics_out with Some p -> Json.String p | None -> Json.Null);
-    ("retries", Json.Int retries);
-    ("trace_cache", match trace_cache with Some p -> Json.String p | None -> Json.Null);
-    ("result_cache", match result_cache with Some p -> Json.String p | None -> Json.Null) ]
+(* The body of table2, run and sample, shared with `mcsim resume`.
+   Table2.run_report owns the table2 fan-out and checkpoint layout; a
+   run or sample is one unit of Sweep.execute. --profile bypasses both
+   caches (profiling counters cannot be reconstructed from a stored
+   result), and --full always recomputes the detailed run. *)
+let batch ~jobs ~checkpoint (o : Sweep.outputs) sweep =
+  let t_start = Unix.gettimeofday () in
+  match sweep with
+  | P.Table2 { benchmarks; max_instrs; seed; engine; sampling; _ } ->
+    let single_config, dual_config = Sweep.configs sweep in
+    let report =
+      Mcsim.Table2.run_report ~jobs ~max_instrs ~seed ~benchmarks ~engine ?sampling
+        ?single_config ~dual_config ~retries:o.retries ?checkpoint ?trace_cache:o.trace_cache
+        ?result_cache:o.result_cache ()
+    in
+    let rows = report.Mcsim.Table2.rows in
+    List.iter
+      (fun (b, msg) -> Printf.eprintf "[FAILED] %s: %s\n%!" b msg)
+      report.Mcsim.Table2.failed;
+    if o.csv then print_string (Mcsim.Report.table2_csv rows)
+    else begin
+      Option.iter
+        (fun p ->
+          Printf.printf "(sampled: policy %s, cycle columns are extrapolations)\n"
+            (Mcsim_sampling.Sampling.policy_to_string p))
+        sampling;
+      print_string (Mcsim.Table2.render rows);
+      print_newline ();
+      List.iter
+        (fun (ok, what) -> Printf.printf "[%s] %s\n" (if ok then "ok" else "FAIL") what)
+        (Mcsim.Table2.shape_holds rows)
+    end;
+    write_metrics ~t_start ~extra:[ ("table2", Mcsim.Report.table2_json rows) ] sweep
+      o.metrics_out;
+    if report.Mcsim.Table2.failed <> [] then
+      failwith
+        (Printf.sprintf "%d of %d benchmarks failed permanently%s"
+           (List.length report.Mcsim.Table2.failed)
+           (List.length benchmarks)
+           (match checkpoint with
+           | Some dir ->
+             Printf.sprintf
+               "; completed units are saved under %s — rerun or 'mcsim resume %s' to retry"
+               dir dir
+           | None -> "; rerun with --checkpoint DIR to make progress durable"))
+  | P.Run { engine; _ } ->
+    let profile =
+      if o.profile then Some (Mcsim_cluster.Machine.profile_counters ()) else None
+    in
+    let checkpoint, result_cache =
+      if o.profile then (None, None) else (checkpoint, o.result_cache)
+    in
+    let (r, trace_instrs), cached =
+      Sweep.execute ?checkpoint ?result_cache ?trace_cache:o.trace_cache ?profile
+        ~retries:o.retries ~decode:Sweep.run_of_json sweep
+    in
+    headline sweep cached;
+    Printf.printf "  %d instructions in %d cycles (IPC %.2f)\n" r.Mcsim_cluster.Machine.retired
+      r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc;
+    Printf.printf "  branch accuracy %.3f, d-cache miss rate %.3f, i-cache miss rate %.4f\n"
+      r.Mcsim_cluster.Machine.branch_accuracy r.Mcsim_cluster.Machine.dcache_miss_rate
+      r.Mcsim_cluster.Machine.icache_miss_rate;
+    Printf.printf "  %d single- and %d dual-distributed, %d replays\n"
+      r.Mcsim_cluster.Machine.single_distributed r.Mcsim_cluster.Machine.dual_distributed
+      r.Mcsim_cluster.Machine.replays;
+    print_endline "  counters:";
+    List.iter
+      (fun (k, v) -> Printf.printf "    %-28s %d\n" k v)
+      r.Mcsim_cluster.Machine.counters;
+    Option.iter
+      (fun p ->
+        Printf.printf "  profile (%s engine):\n" (Mcsim_obs.Manifest.engine_name engine);
+        print_string (Mcsim_util.Profile_counters.render ~instrs:trace_instrs p))
+      profile;
+    write_metrics ~t_start ~trace_instrs ~result:r ?profile sweep o.metrics_out
+  | P.Sample { bench; scheduler; max_instrs; seed; engine; policy; clusters; _ } ->
+    let s, cached =
+      Sweep.execute ?checkpoint ?result_cache:o.result_cache ?trace_cache:o.trace_cache
+        ~retries:o.retries
+        ~decode:(Sweep.sample_of_json ~seed:policy.Mcsim_sampling.Sampling.seed)
+        sweep
+    in
+    write_metrics ~t_start ~trace_instrs:s.Mcsim_sampling.Sampling.trace_instrs ~sampling:s
+      sweep o.metrics_out;
+    if o.csv then print_string (Mcsim.Report.sampling_csv s)
+    else begin
+      headline sweep cached;
+      print_string (Mcsim_sampling.Sampling.render s);
+      if o.full then begin
+        let trace =
+          Sweep.flat_trace ?trace_cache:o.trace_cache ?clusters ~scheduler ~seed ~max_instrs
+            bench
+        in
+        let r = Mcsim_cluster.Machine.run_flat ~engine (snd (Sweep.configs sweep)) trace in
+        let err =
+          Float.abs (s.Mcsim_sampling.Sampling.mean_ipc -. r.Mcsim_cluster.Machine.ipc)
+          /. r.Mcsim_cluster.Machine.ipc
+        in
+        Printf.printf "  full run: IPC %.4f in %d cycles; sampling error %.2f%%%s\n"
+          r.Mcsim_cluster.Machine.ipc r.Mcsim_cluster.Machine.cycles (100.0 *. err)
+          (if err <= Mcsim_sampling.Sampling.ci_rel s then " (within the CI)" else "")
+      end
+    end
 
 (* Record how to finish the sweep before starting it, so `mcsim resume
    DIR` works even if this process is killed immediately. When the
@@ -368,35 +393,73 @@ let table2_command_json ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters ~
    check must not clobber the record the original sweep resumes from.
    On success the record is refreshed, so compatible reruns that change
    output flags (say, adding --metrics-out) resume with the new ones. *)
-let with_command checkpoint command_json run =
-  match checkpoint with
-  | None -> run ()
-  | Some dir ->
-    let existing = Sys.file_exists (Filename.concat dir "command.json") in
-    if not existing then Mcsim.Checkpoint.write_command ~dir (command_json ());
-    let result = run () in
-    if existing then Mcsim.Checkpoint.write_command ~dir (command_json ());
-    result
+let batch_cmd name ~doc sweep outputs jobs =
+  let run sweep o jobs checkpoint =
+    wrap @@ fun () ->
+    match checkpoint with
+    | None -> batch ~jobs ~checkpoint o sweep
+    | Some dir ->
+      let write () = Mcsim.Checkpoint.write_command ~dir (Sweep.command_json sweep o) in
+      let existing = Sys.file_exists (Filename.concat dir "command.json") in
+      if not existing then write ();
+      batch ~jobs ~checkpoint o sweep;
+      if existing then write ()
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ sweep $ outputs $ jobs $ checkpoint_arg)
 
 let table2_cmd =
-  let run max_instrs seed benchmarks csv four_way clusters topology steering jobs sample
-      engine metrics_out retries checkpoint trace_cache result_cache =
+  batch_cmd "table2" ~doc:"Run the Table-2 experiment (none/local vs single-cluster)."
+    table2_sweep (outputs ~csv:csv_arg ()) jobs_arg
+
+let run_cmd =
+  let profile_arg =
+    Arg.(value & flag
+         & info [ "profile" ]
+             ~doc:"Report per-stage visit/work counters and minor-heap allocation \
+                   for the simulation.")
+  in
+  batch_cmd "run" ~doc:"Run one benchmark and dump all counters." (single_sweep `Run)
+    (outputs ~profile:profile_arg ()) (Term.const 1)
+
+let sample_cmd =
+  let full_arg =
+    Arg.(value & flag
+         & info [ "full" ]
+             ~doc:"Also run the full detailed simulation and report the sampling error.")
+  in
+  batch_cmd "sample"
+    ~doc:"Sampled simulation of one benchmark (optionally vs the full detailed run)."
+    (single_sweep `Sample) (outputs ~csv:csv_arg ~full:full_arg ()) (Term.const 1)
+
+(* `mcsim resume DIR`: reread the command.json written by a previous
+   --checkpoint invocation and re-dispatch the same command against the
+   same directory. Completed units load from disk; only missing ones
+   recompute, so the output is byte-identical to an uninterrupted run. *)
+let resume_cmd =
+  let dir_pos =
+    Arg.(required & pos 0 (some dir) None
+         & info [] ~docv:"DIR" ~doc:"Checkpoint directory of an interrupted run.")
+  in
+  let resume_retries_arg =
+    Arg.(value & opt (some (nonneg_int ~what:"RETRIES")) None
+         & info [ "retries" ] ~docv:"N"
+             ~doc:"Override the recorded per-unit retry budget for this resume.")
+  in
+  let resume dir retries =
     wrap @@ fun () ->
-    with_command checkpoint (fun () ->
-        table2_command_json ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters
-          ~topology ~steering ~sample ~engine ~metrics_out ~retries ~trace_cache
-          ~result_cache)
-    @@ fun () ->
-    table2_impl ~max_instrs ~seed ~benchmarks ~csv ~four_way ~clusters ~topology ~steering
-      ~jobs ~sample ~engine ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache
-      ()
+    let fields = Mcsim.Checkpoint.read_command ~dir in
+    let sweep, o =
+      try Sweep.of_command fields
+      with Failure m -> failwith (Printf.sprintf "checkpoint %s: command.json: %s" dir m)
+    in
+    let o = match retries with Some retries -> { o with Sweep.retries } | None -> o in
+    batch ~jobs:(Mcsim_util.Pool.default_jobs ()) ~checkpoint:(Some dir) o sweep
   in
   Cmd.v
-    (Cmd.info "table2" ~doc:"Run the Table-2 experiment (none/local vs single-cluster).")
-    Term.(const run $ max_instrs_arg $ seed_arg $ benchmarks_arg $ csv_arg $ four_way_arg
-          $ clusters_arg $ topology_arg $ steering_arg $ jobs_arg $ sample_arg
-          $ engine_arg $ metrics_out_arg $ retries_arg $ checkpoint_arg $ trace_cache_arg
-          $ result_cache_arg)
+    (Cmd.info "resume"
+       ~doc:"Finish an interrupted --checkpoint run (table2, run or sample): completed \
+             units are loaded from the directory, only missing ones recompute.")
+    Term.(const resume $ dir_pos $ resume_retries_arg)
 
 let scenarios_cmd =
   let run () =
@@ -442,504 +505,6 @@ let workloads_cmd =
   in
   Cmd.v (Cmd.info "workloads" ~doc:"Describe the six SPEC92-like synthetic benchmarks.")
     Term.(const run $ const ())
-
-(* Shared by the --scheduler option and `mcsim resume`'s command.json
-   round-trip: the printed {!Mcsim_compiler.Pipeline.scheduler_name} of
-   every accepted scheduler parses back to the same scheduler. *)
-let scheduler_parse = function
-  | "none" -> Ok Mcsim_compiler.Pipeline.Sched_none
-  | "local" -> Ok Mcsim_compiler.Pipeline.default_local
-  | "round-robin" | "rr" -> Ok Mcsim_compiler.Pipeline.Sched_round_robin
-  | "random" -> Ok (Mcsim_compiler.Pipeline.Sched_random 7)
-  | s -> Error (`Msg (Printf.sprintf "unknown scheduler %S" s))
-
-let scheduler_of_string s =
-  match scheduler_parse s with Ok x -> x | Error (`Msg m) -> failwith m
-
-let scheduler_conv =
-  Arg.conv
-    ( scheduler_parse,
-      fun fmt s -> Format.pp_print_string fmt (Mcsim_compiler.Pipeline.scheduler_name s) )
-
-let machine_name = function `Single -> "single" | `Dual -> "dual"
-
-let machine_of_string = function
-  | "single" -> `Single
-  | "dual" -> `Dual
-  | s -> failwith (Printf.sprintf "unknown machine %S" s)
-
-(* Generate the benchmark's committed trace in the flat binary form —
-   or, with --trace-cache, memory-map it from the store (generating and
-   saving it on the first run). Shared by run and sample. *)
-let flat_trace ~trace_cache ~bench ~scheduler ~clusters ~seed ~max_instrs () =
-  let walk () =
-    let prog = Mcsim_workload.Spec92.program bench in
-    let profile = Mcsim_trace.Walker.profile ~seed prog in
-    let c = Mcsim_compiler.Pipeline.compile ~clusters ~profile ~scheduler prog in
-    Mcsim_trace.Walker.trace_flat ~seed ~max_instrs c.Mcsim_compiler.Pipeline.mach
-  in
-  match trace_cache with
-  | None -> walk ()
-  | Some dir ->
-    let store = Mcsim.Trace_store.open_ ~dir in
-    let key =
-      { Mcsim.Trace_store.benchmark = Mcsim_workload.Spec92.name bench;
-        scheduler = Mcsim.Experiment.scheduler_ident_n ~clusters scheduler;
-        seed;
-        max_instrs }
-    in
-    fst (Mcsim.Trace_store.load_or_build store key walk)
-
-(* The body of the run command, shared with `mcsim resume`. With a
-   checkpoint the single simulation is one durable unit; --profile
-   bypasses the cache (profiling counters cannot be reconstructed from a
-   stored result). *)
-let run_impl ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs ~seed
-    ~engine ~prof ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache () =
-  let t_start = Unix.gettimeofday () in
-  let cfg = config_of ~what:"run" ~machine ~clusters ~topology ~steering () in
-  let cclusters = compile_clusters clusters in
-  let manifest =
-    Mcsim_obs.Manifest.make ~engine ~seed
-      ~benchmark:(Mcsim_workload.Spec92.name bench)
-      ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-      ~trace_instrs:max_instrs cfg
-  in
-  let store =
-    match checkpoint with
-    | Some dir when not prof ->
-      Some
-        (Mcsim.Checkpoint.open_ ~dir ~kind:"run" ~manifest
-           ~extra:[ ("machine", Json.String (machine_name machine)) ]
-           ())
-    | Some _ | None -> None
-  in
-  (* The global result cache; --profile bypasses it like the checkpoint
-     (profiling counters cannot be reconstructed from a stored result). *)
-  let rstore =
-    match result_cache with
-    | Some dir when not prof -> Some (Mcsim.Result_store.open_ ~dir)
-    | Some _ | None -> None
-  in
-  let decode_unit d =
-    match
-      ( Option.bind (Json.member "result" d) Mcsim_obs.Metrics.result_of_json,
-        Option.bind (Json.member "trace_instrs" d) Json.get_int )
-    with
-    | Some r, Some n -> Some (r, n)
-    | _ -> None
-  in
-  let cached =
-    match
-      Option.bind store (fun st -> Option.bind (Mcsim.Checkpoint.find st "run") decode_unit)
-    with
-    | Some _ as hit -> hit
-    | None ->
-      Option.bind rstore (fun st ->
-          Option.bind (Mcsim.Result_store.find st ~manifest ~key:"run") decode_unit)
-  in
-  let r, trace_instrs, counters =
-    match cached with
-    | Some (r, n) -> (r, n, None)
-    | None ->
-      let run_once () =
-        let trace =
-          flat_trace ~trace_cache ~bench ~scheduler ~clusters:cclusters ~seed ~max_instrs
-            ()
-        in
-        let n = Mcsim_isa.Flat_trace.length trace in
-        let counters =
-          if prof then Some (Mcsim_cluster.Machine.profile_counters ()) else None
-        in
-        (match counters with
-        | Some p -> Mcsim_util.Profile_counters.alloc_start p
-        | None -> ());
-        let r = Mcsim_cluster.Machine.run_flat ~engine ?profile:counters cfg trace in
-        (match counters with
-        | Some p -> Mcsim_util.Profile_counters.alloc_stop p
-        | None -> ());
-        let fields =
-          [ ("result", Mcsim_obs.Metrics.result_json r); ("trace_instrs", Json.Int n) ]
-        in
-        Option.iter (fun st -> Mcsim.Checkpoint.record st ~key:"run" fields) store;
-        Option.iter
-          (fun st -> Mcsim.Result_store.record st ~manifest ~key:"run" fields)
-          rstore;
-        (r, n, counters)
-      in
-      (match Mcsim_util.Pool.parallel_map ~retries ~jobs:1 run_once [ () ] with
-      | [ out ] -> out
-      | _ -> assert false)
-  in
-  Printf.printf "%s on the %s machine, %s scheduler:%s\n"
-    (Mcsim_workload.Spec92.name bench)
-    (machine_desc ~machine ~clusters ~topology ~steering)
-    (Mcsim_compiler.Pipeline.scheduler_name scheduler)
-    (if Option.is_some cached then " (from cache)" else "");
-  Printf.printf "  %d instructions in %d cycles (IPC %.2f)\n" r.Mcsim_cluster.Machine.retired
-    r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc;
-  Printf.printf "  branch accuracy %.3f, d-cache miss rate %.3f, i-cache miss rate %.4f\n"
-    r.Mcsim_cluster.Machine.branch_accuracy r.Mcsim_cluster.Machine.dcache_miss_rate
-    r.Mcsim_cluster.Machine.icache_miss_rate;
-  Printf.printf "  %d single- and %d dual-distributed, %d replays\n"
-    r.Mcsim_cluster.Machine.single_distributed r.Mcsim_cluster.Machine.dual_distributed
-    r.Mcsim_cluster.Machine.replays;
-  print_endline "  counters:";
-  List.iter
-    (fun (k, v) -> Printf.printf "    %-28s %d\n" k v)
-    r.Mcsim_cluster.Machine.counters;
-  (match counters with
-  | Some p ->
-    Printf.printf "  profile (%s engine):\n"
-      (match engine with `Scan -> "scan" | `Wakeup -> "wakeup");
-    print_string (Mcsim_util.Profile_counters.render ~instrs:trace_instrs p)
-  | None -> ());
-  match metrics_out with
-  | None -> ()
-  | Some path ->
-    let manifest =
-      Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
-        ~benchmark:(Mcsim_workload.Spec92.name bench)
-        ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-        ~trace_instrs cfg
-    in
-    Mcsim_obs.Metrics.write_file path
-      (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"run" ~result:r ?profile:counters
-         ~wall_seconds:(Unix.gettimeofday () -. t_start)
-         ())
-
-let run_command_json ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs
-    ~seed ~engine ~prof ~metrics_out ~retries ~trace_cache ~result_cache =
-  cluster_command_fields ~clusters ~topology ~steering
-  @ [ ("command", Json.String "run");
-    ("benchmark", Json.String (Mcsim_workload.Spec92.name bench));
-    ("machine", Json.String (machine_name machine));
-    ("scheduler", Json.String (Mcsim_compiler.Pipeline.scheduler_name scheduler));
-    ("max_instrs", Json.Int max_instrs);
-    ("seed", Json.Int seed);
-    ("engine", Json.String (Mcsim_obs.Manifest.engine_name engine));
-    ("profile", Json.Bool prof);
-    ("metrics_out", match metrics_out with Some p -> Json.String p | None -> Json.Null);
-    ("retries", Json.Int retries);
-    ("trace_cache", match trace_cache with Some p -> Json.String p | None -> Json.Null);
-    ("result_cache", match result_cache with Some p -> Json.String p | None -> Json.Null) ]
-
-let run_entry bench machine clusters topology steering scheduler max_instrs seed engine
-    prof metrics_out retries checkpoint trace_cache result_cache =
-  wrap @@ fun () ->
-  with_command checkpoint (fun () ->
-      run_command_json ~bench ~machine ~clusters ~topology ~steering ~scheduler
-        ~max_instrs ~seed ~engine ~prof ~metrics_out ~retries ~trace_cache ~result_cache)
-  @@ fun () ->
-  run_impl ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs ~seed
-    ~engine ~prof ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache ()
-
-let run_cmd =
-  let machine_arg =
-    Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-         & info [ "machine" ] ~doc:"Machine to run on: single or dual.")
-  in
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-         & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-  in
-  let profile_arg =
-    Arg.(value & flag
-         & info [ "profile" ]
-             ~doc:"Report per-stage visit/work counters and minor-heap allocation \
-                   for the simulation.")
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run one benchmark and dump all counters.")
-    Term.(const run_entry $ bench_pos $ machine_arg $ clusters_arg $ topology_arg
-          $ steering_arg $ scheduler_arg $ max_instrs_arg $ seed_arg $ engine_arg
-          $ profile_arg $ metrics_out_arg $ retries_arg $ checkpoint_arg $ trace_cache_arg
-          $ result_cache_arg)
-
-(* The body of the sample command, shared with `mcsim resume`. The
-   sampled estimate is one durable unit; --full always recomputes the
-   trace and the detailed run (only the estimate is cached). *)
-let sample_impl ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs
-    ~seed ~sample ~full ~csv ~engine ~metrics_out ~retries ~checkpoint ~trace_cache
-    ~result_cache () =
-  let t_start = Unix.gettimeofday () in
-  let policy =
-    match sample with
-    | Some p -> { p with Mcsim_sampling.Sampling.seed }
-    | None -> { Mcsim_sampling.Sampling.default_policy with seed }
-  in
-  let cfg = config_of ~what:"sample" ~machine ~clusters ~topology ~steering () in
-  let cclusters = compile_clusters clusters in
-  let manifest =
-    Mcsim_obs.Manifest.make ~engine ~seed
-      ~benchmark:(Mcsim_workload.Spec92.name bench)
-      ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-      ~trace_instrs:max_instrs ~sampling:policy cfg
-  in
-  let store =
-    Option.map
-      (fun dir ->
-        Mcsim.Checkpoint.open_ ~dir ~kind:"sample" ~manifest
-          ~extra:[ ("machine", Json.String (machine_name machine)) ]
-          ())
-      checkpoint
-  in
-  let rstore = Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) result_cache in
-  let decode_unit d =
-    match
-      ( Option.bind (Json.member "result" d) Mcsim_obs.Metrics.result_of_json,
-        Json.member "sampling" d )
-    with
-    | Some machine, Some sj ->
-      Mcsim_obs.Metrics.sampling_of_json ~seed:policy.Mcsim_sampling.Sampling.seed
-        ~machine sj
-    | _ -> None
-  in
-  let cached =
-    match
-      Option.bind store (fun st ->
-          Option.bind (Mcsim.Checkpoint.find st "sample") decode_unit)
-    with
-    | Some _ as hit -> hit
-    | None ->
-      Option.bind rstore (fun st ->
-          Option.bind (Mcsim.Result_store.find st ~manifest ~key:"sample") decode_unit)
-  in
-  let make_trace =
-    flat_trace ~trace_cache ~bench ~scheduler ~clusters:cclusters ~seed ~max_instrs
-  in
-  let s =
-    match cached with
-    | Some s -> s
-    | None -> (
-      let run_once () =
-        let s = Mcsim_sampling.Sampling.run_flat ~engine ~policy cfg (make_trace ()) in
-        let fields =
-          [ ("sampling", Mcsim_obs.Metrics.sampling_json s);
-            ("result", Mcsim_obs.Metrics.result_json s.Mcsim_sampling.Sampling.machine) ]
-        in
-        Option.iter (fun st -> Mcsim.Checkpoint.record st ~key:"sample" fields) store;
-        Option.iter
-          (fun st -> Mcsim.Result_store.record st ~manifest ~key:"sample" fields)
-          rstore;
-        s
-      in
-      match Mcsim_util.Pool.parallel_map ~retries ~jobs:1 run_once [ () ] with
-      | [ s ] -> s
-      | _ -> assert false)
-  in
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-    let manifest =
-      Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
-        ~benchmark:(Mcsim_workload.Spec92.name bench)
-        ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-        ~trace_instrs:s.Mcsim_sampling.Sampling.trace_instrs ~sampling:policy cfg
-    in
-    Mcsim_obs.Metrics.write_file path
-      (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"sample" ~sampling:s
-         ~wall_seconds:(Unix.gettimeofday () -. t_start)
-         ()));
-  if csv then print_string (Mcsim.Report.sampling_csv s)
-  else begin
-    Printf.printf "%s on the %s machine, %s scheduler:%s\n"
-      (Mcsim_workload.Spec92.name bench)
-      (machine_desc ~machine ~clusters ~topology ~steering)
-      (Mcsim_compiler.Pipeline.scheduler_name scheduler)
-      (if Option.is_some cached then " (from cache)" else "");
-    print_string (Mcsim_sampling.Sampling.render s);
-    if full then begin
-      let r = Mcsim_cluster.Machine.run_flat ~engine cfg (make_trace ()) in
-      let err =
-        Float.abs (s.Mcsim_sampling.Sampling.mean_ipc -. r.Mcsim_cluster.Machine.ipc)
-        /. r.Mcsim_cluster.Machine.ipc
-      in
-      Printf.printf "  full run: IPC %.4f in %d cycles; sampling error %.2f%%%s\n"
-        r.Mcsim_cluster.Machine.ipc r.Mcsim_cluster.Machine.cycles (100.0 *. err)
-        (if err <= Mcsim_sampling.Sampling.ci_rel s then " (within the CI)" else "")
-    end
-  end
-
-let sample_command_json ~bench ~machine ~clusters ~topology ~steering ~scheduler
-    ~max_instrs ~seed ~sample ~full ~csv ~engine ~metrics_out ~retries ~trace_cache
-    ~result_cache =
-  cluster_command_fields ~clusters ~topology ~steering
-  @ [ ("command", Json.String "sample");
-    ("benchmark", Json.String (Mcsim_workload.Spec92.name bench));
-    ("machine", Json.String (machine_name machine));
-    ("scheduler", Json.String (Mcsim_compiler.Pipeline.scheduler_name scheduler));
-    ("max_instrs", Json.Int max_instrs);
-    ("seed", Json.Int seed);
-    ("sampling",
-     match sample with
-     | Some p -> Json.String (Mcsim_sampling.Sampling.policy_to_string p)
-     | None -> Json.Null);
-    ("full", Json.Bool full);
-    ("csv", Json.Bool csv);
-    ("engine", Json.String (Mcsim_obs.Manifest.engine_name engine));
-    ("metrics_out", match metrics_out with Some p -> Json.String p | None -> Json.Null);
-    ("retries", Json.Int retries);
-    ("trace_cache", match trace_cache with Some p -> Json.String p | None -> Json.Null);
-    ("result_cache", match result_cache with Some p -> Json.String p | None -> Json.Null) ]
-
-let sample_entry bench machine clusters topology steering scheduler max_instrs seed
-    sample full csv engine metrics_out retries checkpoint trace_cache result_cache =
-  wrap @@ fun () ->
-  with_command checkpoint (fun () ->
-      sample_command_json ~bench ~machine ~clusters ~topology ~steering ~scheduler
-        ~max_instrs ~seed ~sample ~full ~csv ~engine ~metrics_out ~retries ~trace_cache
-        ~result_cache)
-  @@ fun () ->
-  sample_impl ~bench ~machine ~clusters ~topology ~steering ~scheduler ~max_instrs ~seed
-    ~sample ~full ~csv ~engine ~metrics_out ~retries ~checkpoint ~trace_cache
-    ~result_cache ()
-
-let sample_cmd =
-  let machine_arg =
-    Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-         & info [ "machine" ] ~doc:"Machine to run on: single or dual.")
-  in
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-         & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-  in
-  let full_arg =
-    Arg.(value & flag
-         & info [ "full" ]
-             ~doc:"Also run the full detailed simulation and report the sampling error.")
-  in
-  Cmd.v
-    (Cmd.info "sample"
-       ~doc:"Sampled simulation of one benchmark (optionally vs the full detailed run).")
-    Term.(const sample_entry $ bench_pos $ machine_arg $ clusters_arg $ topology_arg
-          $ steering_arg $ scheduler_arg $ max_instrs_arg $ seed_arg $ sample_arg
-          $ full_arg $ csv_arg $ engine_arg $ metrics_out_arg $ retries_arg
-          $ checkpoint_arg $ trace_cache_arg $ result_cache_arg)
-
-(* `mcsim resume DIR`: reread the command.json written by a previous
-   --checkpoint invocation and re-dispatch the same command against the
-   same directory. Completed units load from disk; only missing ones
-   recompute, so the output is byte-identical to an uninterrupted run. *)
-let resume_cmd =
-  let dir_pos =
-    Arg.(required & pos 0 (some dir) None
-         & info [] ~docv:"DIR" ~doc:"Checkpoint directory of an interrupted run.")
-  in
-  let resume_retries_arg =
-    Arg.(value & opt (some (nonneg_int ~what:"RETRIES")) None
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Override the recorded per-unit retry budget for this resume.")
-  in
-  let resume dir retries_override =
-    wrap @@ fun () ->
-    let fields = Mcsim.Checkpoint.read_command ~dir in
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Json.String s) -> s
-      | _ -> failwith (Printf.sprintf "checkpoint %s: command.json lacks %S" dir k)
-    in
-    let str_opt k =
-      match List.assoc_opt k fields with Some (Json.String s) -> Some s | _ -> None
-    in
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (Json.Int n) -> n
-      | _ -> failwith (Printf.sprintf "checkpoint %s: command.json lacks %S" dir k)
-    in
-    let flag k =
-      match List.assoc_opt k fields with Some (Json.Bool b) -> b | _ -> false
-    in
-    let bench k =
-      let s = str k in
-      match Mcsim_workload.Spec92.of_name s with
-      | Some b -> b
-      | None -> failwith (Printf.sprintf "checkpoint %s: unknown benchmark %S" dir s)
-    in
-    let engine () =
-      match str "engine" with
-      | "scan" -> `Scan
-      | "wakeup" -> `Wakeup
-      | s -> failwith (Printf.sprintf "checkpoint %s: unknown engine %S" dir s)
-    in
-    let seed = lazy (int "seed") in
-    let sampling k =
-      match str_opt k with
-      | None -> None
-      | Some s -> (
-        match Mcsim_sampling.Sampling.policy_of_string ~seed:(Lazy.force seed) s with
-        | Ok p -> Some p
-        | Error e -> failwith (Printf.sprintf "checkpoint %s: bad sampling %S: %s" dir s e))
-    in
-    let retries =
-      match retries_override with Some n -> n | None -> int "retries"
-    in
-    let metrics_out = str_opt "metrics_out" in
-    let trace_cache = str_opt "trace_cache" in
-    (* Absent in command.json written before the result store existed. *)
-    let result_cache = str_opt "result_cache" in
-    (* Likewise absent before the machine grew beyond two clusters. *)
-    let clusters =
-      match List.assoc_opt "clusters" fields with Some (Json.Int n) -> Some n | _ -> None
-    in
-    let topology =
-      match str_opt "topology" with
-      | None -> Mcsim_cluster.Interconnect.Point_to_point
-      | Some s -> Mcsim_cluster.Interconnect.of_string s
-    in
-    (* Absent before dispatch-time steering existed; absent = static. *)
-    let steering =
-      match str_opt "steering" with
-      | None -> Mcsim_cluster.Steering.Static
-      | Some s -> (
-        match Mcsim_cluster.Steering.of_string s with
-        | Ok p -> p
-        | Error e -> failwith (Printf.sprintf "checkpoint %s: %s" dir e))
-    in
-    let checkpoint = Some dir in
-    match str "command" with
-    | "table2" ->
-      let benchmarks =
-        match List.assoc_opt "benchmarks" fields with
-        | Some (Json.List l) ->
-          List.map
-            (function
-              | Json.String s -> (
-                match Mcsim_workload.Spec92.of_name s with
-                | Some b -> b
-                | None ->
-                  failwith (Printf.sprintf "checkpoint %s: unknown benchmark %S" dir s))
-              | _ -> failwith (Printf.sprintf "checkpoint %s: bad benchmarks list" dir))
-            l
-        | _ -> failwith (Printf.sprintf "checkpoint %s: command.json lacks %S" dir "benchmarks")
-      in
-      table2_impl ~max_instrs:(int "max_instrs") ~seed:(Lazy.force seed) ~benchmarks
-        ~csv:(flag "csv") ~four_way:(flag "four_way") ~clusters ~topology ~steering
-        ~jobs:(Mcsim_util.Pool.default_jobs ())
-        ~sample:(sampling "sampling") ~engine:(engine ()) ~metrics_out ~retries
-        ~checkpoint ~trace_cache ~result_cache ()
-    | "run" ->
-      run_impl ~bench:(bench "benchmark") ~machine:(machine_of_string (str "machine"))
-        ~clusters ~topology ~steering ~scheduler:(scheduler_of_string (str "scheduler"))
-        ~max_instrs:(int "max_instrs") ~seed:(Lazy.force seed) ~engine:(engine ())
-        ~prof:(flag "profile") ~metrics_out ~retries ~checkpoint ~trace_cache
-        ~result_cache ()
-    | "sample" ->
-      sample_impl ~bench:(bench "benchmark") ~machine:(machine_of_string (str "machine"))
-        ~clusters ~topology ~steering ~scheduler:(scheduler_of_string (str "scheduler"))
-        ~max_instrs:(int "max_instrs") ~seed:(Lazy.force seed)
-        ~sample:(sampling "sampling") ~full:(flag "full") ~csv:(flag "csv")
-        ~engine:(engine ()) ~metrics_out ~retries ~checkpoint ~trace_cache ~result_cache
-        ()
-    | c ->
-      failwith
-        (Printf.sprintf "checkpoint %s: cannot resume command %S (only table2, run, sample)"
-           dir c)
-  in
-  Cmd.v
-    (Cmd.info "resume"
-       ~doc:"Finish an interrupted --checkpoint run (table2, run or sample): completed \
-             units are loaded from the directory, only missing ones recompute.")
-    Term.(const resume $ dir_pos $ resume_retries_arg)
 
 (* `mcsim trace-store DIR`: inspect a --trace-cache directory. Each
    entry is validated (header + payload digest), so a corrupt file shows
@@ -1062,14 +627,6 @@ let result_store_cmd =
     Term.(const run $ dir_pos $ prune_keep_latest_arg)
 
 let trace_cmd =
-  let machine_arg =
-    Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-         & info [ "machine" ] ~doc:"Machine to run on: single or dual.")
-  in
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-         & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-  in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "o"; "out" ] ~docv:"FILE"
@@ -1087,15 +644,8 @@ let trace_cmd =
   in
   let run bench machine scheduler max_instrs seed engine out timeline counter_period =
     wrap @@ fun () ->
-    let prog = Mcsim_workload.Spec92.program bench in
-    let profile = Mcsim_trace.Walker.profile ~seed prog in
-    let c = Mcsim_compiler.Pipeline.compile ~profile ~scheduler prog in
-    let trace = Mcsim_trace.Walker.trace ~seed ~max_instrs c.Mcsim_compiler.Pipeline.mach in
-    let cfg =
-      match machine with
-      | `Single -> Mcsim_cluster.Machine.single_cluster ()
-      | `Dual -> Mcsim_cluster.Machine.dual_cluster ()
-    in
+    let trace = Sweep.flat_trace ~scheduler ~seed ~max_instrs bench in
+    let cfg = Sweep.config ~what:"trace" machine in
     let tx = Mcsim_obs.Trace_export.create ~counter_period cfg in
     let tl = Mcsim.Timeline.create () in
     let on_event e =
@@ -1103,7 +653,7 @@ let trace_cmd =
       if timeline then Mcsim.Timeline.observer tl e
     in
     let r =
-      Mcsim_cluster.Machine.run ~engine ~on_event
+      Mcsim_cluster.Machine.run_flat ~engine ~on_event
         ~on_occupancy:(Mcsim_obs.Trace_export.occupancy_observer tx)
         ~occupancy_period:counter_period cfg trace
     in
@@ -1111,7 +661,7 @@ let trace_cmd =
       Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
         ~benchmark:(Mcsim_workload.Spec92.name bench)
         ~scheduler:(Mcsim_compiler.Pipeline.scheduler_name scheduler)
-        ~trace_instrs:(Array.length trace) cfg
+        ~trace_instrs:(Mcsim_isa.Flat_trace.length trace) cfg
     in
     let path =
       match out with
@@ -1243,10 +793,6 @@ let ablate_cmd =
     Term.(const run $ sweep_arg $ bench_pos1 $ max_instrs_arg $ jobs_arg)
 
 let compile_cmd =
-  let scheduler_arg =
-    Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-         & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-  in
   let run bench scheduler seed =
     wrap @@ fun () ->
     let prog = Mcsim_workload.Spec92.program bench in
@@ -1267,10 +813,6 @@ let simulate_cmd =
       & info [] ~docv:"FILE"
           ~doc:"A machine program in the textual format (see the compile command).")
   in
-  let machine_arg =
-    Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-         & info [ "machine" ] ~doc:"Machine to run on.")
-  in
   let run file machine max_instrs seed =
     wrap @@ fun () ->
     let text = In_channel.with_open_text file In_channel.input_all in
@@ -1279,13 +821,10 @@ let simulate_cmd =
       prerr_endline ("parse error: " ^ e);
       exit 1
     | Ok m ->
-      let trace = Mcsim_trace.Walker.trace ~seed ~max_instrs m in
-      let cfg =
-        match machine with
-        | `Single -> Mcsim_cluster.Machine.single_cluster ()
-        | `Dual -> Mcsim_cluster.Machine.dual_cluster ()
+      let trace = Mcsim_trace.Walker.trace_flat ~seed ~max_instrs m in
+      let r =
+        Mcsim_cluster.Machine.run_flat (Sweep.config ~what:"simulate" machine) trace
       in
-      let r = Mcsim_cluster.Machine.run cfg trace in
       Printf.printf "%s: %d instructions, %d cycles (IPC %.2f), %d dual-distributed, %d replays\n"
         m.Mcsim_compiler.Mach_prog.name r.Mcsim_cluster.Machine.retired
         r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc
@@ -1356,16 +895,9 @@ let with_client socket f =
   Fun.protect ~finally:(fun () -> Mcsim_serve.Client.close c) (fun () -> f c)
 
 let submit_table2_cmd =
-  let run socket max_instrs seed benchmarks csv four_way clusters topology steering sample
-      engine metrics_out =
+  let run socket sweep csv metrics_out =
     wrap @@ fun () ->
     let t_start = Unix.gettimeofday () in
-    let sampling = Option.map (fun p -> { p with Mcsim_sampling.Sampling.seed }) sample in
-    let sweep =
-      Mcsim_serve.Protocol.Table2
-        { benchmarks; max_instrs; seed; engine; sampling; four_way; clusters; topology;
-          steering }
-    in
     with_client socket @@ fun c ->
     let result, served = Mcsim_serve.Client.submit ~on_unit:progress_on_unit c sweep in
     let rows =
@@ -1379,114 +911,43 @@ let submit_table2_cmd =
       print_newline ()
     end;
     prerr_endline (served_line served);
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      let cfg =
-        if four_way then
-          { (Mcsim_cluster.Machine.dual_cluster_2x2 ()) with
-            Mcsim_cluster.Machine.topology; steering }
-        else
-          match clusters with
-          | Some n ->
-            { (Mcsim_cluster.Machine.config_for_clusters ~topology n) with
-              Mcsim_cluster.Machine.steering }
-          | None ->
-            { (Mcsim_cluster.Machine.dual_cluster ()) with
-              Mcsim_cluster.Machine.topology; steering }
-      in
-      let manifest =
-        Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~engine ~seed
-          ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
-          ~trace_instrs:max_instrs ?sampling cfg
-      in
-      Mcsim_obs.Metrics.write_file path
-        (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"table2"
-           ~wall_seconds:(Unix.gettimeofday () -. t_start)
-           ~extra:[ ("table2", Mcsim.Report.table2_json rows) ]
-           ())
+    write_metrics ~t_start ~extra:[ ("table2", Mcsim.Report.table2_json rows) ] sweep
+      metrics_out
   in
   Cmd.v
     (Cmd.info "table2" ~doc:"Submit a Table-2 sweep to the service (one unit per row).")
-    Term.(const run $ socket_arg $ max_instrs_arg $ seed_arg $ benchmarks_arg $ csv_arg
-          $ four_way_arg $ clusters_arg $ topology_arg $ steering_arg $ sample_arg
-          $ engine_arg $ metrics_out_arg)
+    Term.(const run $ socket_arg $ table2_sweep $ csv_arg $ metrics_out_arg)
 
-let submit_machine_arg =
-  Arg.(value & opt (enum [ ("single", `Single); ("dual", `Dual) ]) `Dual
-       & info [ "machine" ] ~doc:"Machine to run on: single or dual.")
-
-let submit_scheduler_arg =
-  Arg.(value & opt scheduler_conv Mcsim_compiler.Pipeline.default_local
-       & info [ "scheduler" ] ~doc:"none, local, round-robin, or random.")
-
-let submit_run_cmd =
-  let run socket bench machine clusters topology steering scheduler max_instrs seed engine
-      =
+let submit_single_cmd kind =
+  let run socket sweep =
     wrap @@ fun () ->
-    let sweep =
-      Mcsim_serve.Protocol.Run
-        { bench; machine; scheduler; max_instrs; seed; engine; clusters; topology;
-          steering }
-    in
     with_client socket @@ fun c ->
     let result, served = Mcsim_serve.Client.submit ~on_unit:progress_on_unit c sweep in
-    (match
-       ( Option.bind (Json.member "result" result) Mcsim_obs.Metrics.result_of_json,
-         Option.bind (Json.member "trace_instrs" result) Json.get_int )
-     with
-    | Some r, Some n ->
-      Printf.printf "%s on the %s machine, %s scheduler (served):\n"
-        (Mcsim_workload.Spec92.name bench)
-        (machine_desc ~machine ~clusters ~topology ~steering)
-        (Mcsim_compiler.Pipeline.scheduler_name scheduler);
-      Printf.printf "  %d instructions in %d cycles (IPC %.2f), %d replays\n" n
-        r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc
-        r.Mcsim_cluster.Machine.replays
-    | _ -> failwith "malformed run result from server");
-    prerr_endline (served_line served)
-  in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Submit one detailed run to the service.")
-    Term.(const run $ socket_arg $ bench_pos $ submit_machine_arg $ clusters_arg
-          $ topology_arg $ steering_arg $ submit_scheduler_arg $ max_instrs_arg $ seed_arg
-          $ engine_arg)
-
-let submit_sample_cmd =
-  let run socket bench machine clusters topology steering scheduler max_instrs seed sample
-      engine =
-    wrap @@ fun () ->
-    let policy =
-      match sample with
-      | Some p -> { p with Mcsim_sampling.Sampling.seed }
-      | None -> { Mcsim_sampling.Sampling.default_policy with seed }
+    let malformed () =
+      failwith (Printf.sprintf "malformed %s result from server" (P.sweep_kind sweep))
     in
-    let sweep =
-      Mcsim_serve.Protocol.Sample
-        { bench; machine; scheduler; max_instrs; seed; engine; policy; clusters; topology;
-          steering }
-    in
-    with_client socket @@ fun c ->
-    let result, served = Mcsim_serve.Client.submit ~on_unit:progress_on_unit c sweep in
-    (match
-       ( Option.bind (Json.member "result" result) Mcsim_obs.Metrics.result_of_json,
-         Json.member "sampling" result )
-     with
-    | Some machine_r, Some sj -> (
-      match
-        Mcsim_obs.Metrics.sampling_of_json ~seed:policy.Mcsim_sampling.Sampling.seed
-          ~machine:machine_r sj
-      with
+    (match sweep with
+    | P.Run _ -> (
+      match Sweep.run_of_json result with
+      | Some (r, n) ->
+        Printf.printf "%s (served):\n" (Sweep.describe sweep);
+        Printf.printf "  %d instructions in %d cycles (IPC %.2f), %d replays\n" n
+          r.Mcsim_cluster.Machine.cycles r.Mcsim_cluster.Machine.ipc
+          r.Mcsim_cluster.Machine.replays
+      | None -> malformed ())
+    | P.Sample { policy; _ } -> (
+      match Sweep.sample_of_json ~seed:policy.Mcsim_sampling.Sampling.seed result with
       | Some s -> print_string (Mcsim_sampling.Sampling.render s)
-      | None -> failwith "malformed sample result from server")
-    | _ -> failwith "malformed sample result from server");
+      | None -> malformed ())
+    | P.Table2 _ -> assert false);
     prerr_endline (served_line served)
   in
-  Cmd.v
-    (Cmd.info "sample" ~doc:"Submit one sampled estimate to the service.")
-    Term.(const run $ socket_arg $ bench_pos $ submit_machine_arg $ clusters_arg
-          $ topology_arg $ steering_arg $ submit_scheduler_arg $ max_instrs_arg $ seed_arg
-          $ sample_arg $ engine_arg)
+  let name, doc =
+    match kind with
+    | `Run -> ("run", "Submit one detailed run to the service.")
+    | `Sample -> ("sample", "Submit one sampled estimate to the service.")
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ socket_arg $ single_sweep kind)
 
 let submit_stats_cmd =
   let run socket =
@@ -1503,7 +964,8 @@ let submit_stats_cmd =
 let submit_cmd =
   Cmd.group
     (Cmd.info "submit" ~doc:"Submit sweeps to a running mcsim serve daemon.")
-    [ submit_table2_cmd; submit_run_cmd; submit_sample_cmd; submit_stats_cmd ]
+    [ submit_table2_cmd; submit_single_cmd `Run; submit_single_cmd `Sample;
+      submit_stats_cmd ]
 
 let () =
   let doc = "Multicluster architecture simulator (Farkas, Chow, Jouppi & Vranesic, MICRO-30)." in

@@ -12,6 +12,13 @@ let scheduler_name = function
   | Sched_round_robin -> "round_robin"
   | Sched_random _ -> "random"
 
+let scheduler_of_name = function
+  | "none" -> Some Sched_none
+  | "local" -> Some default_local
+  | "round_robin" | "round-robin" | "rr" -> Some Sched_round_robin
+  | "random" -> Some (Sched_random 7)
+  | _ -> None
+
 type compiled = {
   mach : Mach_prog.t;
   alloc : Regalloc.result;

@@ -20,6 +20,12 @@ val default_local : scheduler
 
 val scheduler_name : scheduler -> string
 
+val scheduler_of_name : string -> scheduler option
+(** Inverse of {!scheduler_name} up to tuning: every name it prints, plus
+    the CLI spellings ["round-robin"] and ["rr"], parses back to the stock
+    instance of the same family ({!default_local}, [Sched_random 7]).
+    [None] on anything else. *)
+
 type compiled = {
   mach : Mach_prog.t;
   alloc : Regalloc.result;

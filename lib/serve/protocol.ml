@@ -129,15 +129,12 @@ let machine_of_name = function
   | "dual" -> `Dual
   | s -> failwith (Printf.sprintf "protocol: unknown machine %S" s)
 
-(* Parameters travel as {!Pipeline.scheduler_name} strings, so — like
-   [mcsim resume] — a tuned scheduler resolves to the stock instance of
-   its family. *)
-let scheduler_of_name = function
-  | "none" -> Pipeline.Sched_none
-  | "local" -> Pipeline.default_local
-  | "round_robin" | "round-robin" -> Pipeline.Sched_round_robin
-  | "random" -> Pipeline.Sched_random 7
-  | s -> failwith (Printf.sprintf "protocol: unknown scheduler %S" s)
+(* Parameters travel as {!Pipeline.scheduler_name} strings, so a tuned
+   scheduler resolves to the stock instance of its family. *)
+let scheduler_of_name s =
+  match Pipeline.scheduler_of_name s with
+  | Some sched -> sched
+  | None -> failwith (Printf.sprintf "protocol: unknown scheduler %S" s)
 
 let engine_of_name = function
   | "scan" -> `Scan

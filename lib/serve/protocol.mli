@@ -101,6 +101,9 @@ type sweep =
 val sweep_kind : sweep -> string
 (** ["table2"], ["run"] or ["sample"]. *)
 
+val machine_name : [ `Single | `Dual ] -> string
+(** ["single"] or ["dual"], as the [machine] field spells it. *)
+
 val sweep_to_json : sweep -> Mcsim_obs.Json.t
 
 val sweep_of_json : Mcsim_obs.Json.t -> sweep

@@ -3,9 +3,10 @@
     One process, one Unix-domain listening socket, [jobs] worker
     domains. The main loop ([Unix.select]) owns every connection and
     all bookkeeping; workers only simulate. A submitted sweep is split
-    into {e units} — one Table-2 row, one detailed run, one sampled
-    estimate — each addressed by its {!Mcsim.Result_store} identity,
-    and every unit is answered from the cheapest tier that has it:
+    by {!Sweep.units} into {e units} — one Table-2 row, one detailed
+    run, one sampled estimate — each addressed by its
+    {!Mcsim.Result_store} identity, and every unit is answered from the
+    cheapest tier that has it:
 
     + the in-memory cache (results computed or loaded since startup),
     + the on-disk {!Mcsim.Result_store} (shared with [--result-cache]

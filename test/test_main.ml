@@ -25,4 +25,5 @@ let () =
       Test_parallel.suite;
       Test_durable.suite;
       Test_trace_store.suite;
-      Test_serve.suite ]
+      Test_serve.suite;
+      Test_sweep.suite ]
