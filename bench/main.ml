@@ -244,8 +244,11 @@ let sampled_simulation () =
         (* The sampled run is deterministic and cheap: time it twice and
            keep the faster pass, shedding first-touch and GC noise. *)
         Gc.major ();
-        let sampled, s1 = wall (fun () -> Sampling.run cfg trace) in
-        let _, s2 = wall (fun () -> Sampling.run cfg trace) in
+        let sample () =
+          Sampling.run_flat cfg (Mcsim_isa.Flat_trace.of_dynamic_array trace)
+        in
+        let sampled, s1 = wall sample in
+        let _, s2 = wall sample in
         let sampled_s = Float.min s1 s2 in
         let err =
           100.0

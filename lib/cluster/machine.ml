@@ -2138,14 +2138,9 @@ let run_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cyc
   run_phased_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
     [ (cfg.assignment, trace) ]
 
-let run_phased ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
-    phases =
-  run_phased_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
-    (List.map (fun (asg, tr) -> (asg, Flat_trace.of_dynamic_array tr)) phases)
-
 let run ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg trace =
-  run_phased ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
-    [ (cfg.assignment, trace) ]
+  run_flat ?engine ?profile ?on_event ?on_occupancy ?occupancy_period ?max_cycles cfg
+    (Flat_trace.of_dynamic_array trace)
 
 (* ------------------------------------------------------------------ *)
 (* Resumable-state API: functional warming and detailed intervals      *)
@@ -2184,11 +2179,6 @@ let warm_flat st trace ~lo ~hi =
   done;
   Stats.add st.ctrs "warmed_instructions" (hi - lo)
 
-let warm st trace ~lo ~hi =
-  if lo < 0 || hi > Array.length trace || lo > hi then
-    invalid_arg "Machine.warm: bad interval";
-  warm_flat st (Flat_trace.of_dynamic_array trace) ~lo ~hi
-
 type interval = { iv_warmup_cycles : int; iv_cycles : int; iv_retired : int }
 
 let run_interval_flat ?(max_cycles = 200_000_000) st trace ~lo ~hi ~measure_from =
@@ -2215,11 +2205,6 @@ let run_interval_flat ?(max_cycles = 200_000_000) st trace ~lo ~hi ~measure_from
   { iv_warmup_cycles = !boundary - start;
     iv_cycles = st.cycle - !boundary;
     iv_retired = hi - measure_from }
-
-let run_interval ?max_cycles st trace ~lo ~hi ~measure_from =
-  if lo < 0 || hi > Array.length trace || lo >= hi then
-    invalid_arg "Machine.run_interval: bad interval";
-  run_interval_flat ?max_cycles st (Flat_trace.of_dynamic_array trace) ~lo ~hi ~measure_from
 
 let state_result st = finish_result st
 

@@ -245,18 +245,6 @@ val run_phased_flat :
   config ->
   (Assignment.t * Mcsim_isa.Flat_trace.t) list ->
   result
-(** {!run_phased} on packed traces (the native entry point). *)
-
-val run_phased :
-  ?engine:engine ->
-  ?profile:Mcsim_util.Profile_counters.t ->
-  ?on_event:(event -> unit) ->
-  ?on_occupancy:(occupancy -> unit) ->
-  ?occupancy_period:int ->
-  ?max_cycles:int ->
-  config ->
-  (Assignment.t * Mcsim_isa.Instr.dynamic array) list ->
-  result
 (** Dynamic reassignment of the architectural registers (paper §2.1's
     "simple hardware mechanism" and §6): run the phases back to back on
     one machine (caches and predictor stay warm). Between phases the
@@ -280,8 +268,8 @@ val moved_registers : Assignment.t -> Assignment.t -> Mcsim_isa.Reg.t list
     warming} (caches and branch predictor advance over skipped
     instructions, no pipeline model) and {e detailed intervals} (the full
     model on a trace slice, with a warmup prefix whose cycles are
-    measured separately). [run] and [run_phased] are themselves thin
-    wrappers over this state. *)
+    measured separately). {!run_flat} and {!run_phased_flat} are
+    themselves thin wrappers over this state. *)
 
 type state
 (** A machine mid-simulation: configuration, caches, predictor,
@@ -309,10 +297,6 @@ val warm_flat : state -> Mcsim_isa.Flat_trace.t -> lo:int -> hi:int -> unit
     accumulates [hi - lo].
     @raise Invalid_argument unless [0 <= lo <= hi <= length trace]. *)
 
-val warm : state -> Mcsim_isa.Instr.dynamic array -> lo:int -> hi:int -> unit
-(** {!warm_flat} over a record trace (packs the array first — prefer
-    {!warm_flat} when warming repeatedly over the same trace). *)
-
 (** Timing of one detailed interval: the warmup prefix's cycles are
     reported separately so the caller can discard them. *)
 type interval = {
@@ -338,16 +322,6 @@ val run_interval_flat :
     @raise Invalid_argument unless [0 <= lo < hi <= length trace] and
     [lo <= measure_from < hi].
     @raise Failure as {!run} when [max_cycles] elapses. *)
-
-val run_interval :
-  ?max_cycles:int ->
-  state ->
-  Mcsim_isa.Instr.dynamic array ->
-  lo:int ->
-  hi:int ->
-  measure_from:int ->
-  interval
-(** {!run_interval_flat} over a record trace (packs the array first). *)
 
 val pool_stats : state -> int * int * int * int
 (** [(copy_live, copy_built, group_live, group_built)] for the state's

@@ -22,36 +22,28 @@ type sweep = {
 type ctx = {
   prog : Mcsim_ir.Program.t;
   profile : Mcsim_ir.Profile.t;
-  native : Pipeline.compiled;
-  native_trace : Mcsim_isa.Instr.dynamic array;
+  native_trace : Mcsim_isa.Flat_trace.t;
   single_cycles : int;
   max_instrs : int;
   bench_name : string;
-  mutable local : (Pipeline.compiled * Mcsim_isa.Instr.dynamic array) option;
-      (* memoized local-scheduler binary and trace, compiled on first
-         use and shared by every sweep running on this context *)
+  mutable local : Mcsim_isa.Flat_trace.t option;
+      (* memoized local-scheduler trace, compiled on first use and
+         shared by every sweep running on this context *)
 }
 
 let make_ctx ?(max_instrs = 60_000) bench =
   let prog = Spec92.program bench in
   let profile = Walker.profile prog in
   let native = Pipeline.compile ~profile ~scheduler:Pipeline.Sched_none prog in
-  let native_trace = Walker.trace ~max_instrs native.Pipeline.mach in
-  let single = Machine.run (Machine.single_cluster ()) native_trace in
-  { prog; profile; native; native_trace; single_cycles = single.Machine.cycles;
-    max_instrs; bench_name = Spec92.name bench; local = None }
+  let native_trace = Walker.trace_flat ~max_instrs native.Pipeline.mach in
+  let single = Machine.run_flat (Machine.single_cluster ()) native_trace in
+  { prog; profile; native_trace; single_cycles = single.Machine.cycles; max_instrs;
+    bench_name = Spec92.name bench; local = None }
 
 let get_ctx ?ctx ?max_instrs bench =
   match ctx with Some c -> c | None -> make_ctx ?max_instrs bench
 
-let point_of ctx label (r : Machine.result) =
-  { label;
-    dual_cycles = r.Machine.cycles;
-    speedup_pct =
-      Mcsim_timing.Net_performance.speedup_pct ~single_cycles:ctx.single_cycles
-        ~dual_cycles:r.Machine.cycles;
-    replays = r.Machine.replays;
-    dual_distributed = r.Machine.dual_distributed }
+let dual trace = Machine.run_flat (Machine.dual_cluster ()) trace
 
 (* ------------------------------------------------------------------ *)
 (* Durable point fan-out                                               *)
@@ -77,15 +69,28 @@ let point_of_json d =
   let* dual_distributed = int "dual_distributed" in
   Some { label; dual_cycles; speedup_pct; replays; dual_distributed }
 
-(* Every sweep fans its points out through here: one durable unit per
-   point, keyed by label. The checkpoint identity is the sweep name,
-   benchmark, trace budget and exact label set (the labels encode the
-   swept parameter values), plus the mcsim version via the manifest —
-   anything else that could change a point's value changes one of
-   those. Cached points are decoded serially before the fan-out, so
-   [retries]/[inject_fault] apply only to points that actually run. *)
-let run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name ~benchmark
-    ~max_instrs labelled =
+let point_of ~single_cycles label (r : Machine.result) =
+  { label;
+    dual_cycles = r.Machine.cycles;
+    speedup_pct =
+      Mcsim_timing.Net_performance.speedup_pct ~single_cycles ~dual_cycles:r.Machine.cycles;
+    replays = r.Machine.replays;
+    dual_distributed = r.Machine.dual_distributed }
+
+(* A labelled point whose simulation [run] is compared against the
+   context's single-cluster baseline. *)
+let on ctx label run =
+  (label, fun () -> point_of ~single_cycles:ctx.single_cycles label (run ()))
+
+(* Every sweep fans its points out through here, on
+   {!Checkpoint.map}: one durable unit per point, keyed by label. The
+   checkpoint identity is the sweep name, benchmark, trace budget and
+   exact label set (the labels encode the swept parameter values), plus
+   the mcsim version via the manifest — anything else that could change
+   a point's value changes one of those. *)
+let run_points ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~benchmark ~max_instrs
+    sweep_name labelled =
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let store =
     Option.map
       (fun dir ->
@@ -100,297 +105,195 @@ let run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name ~be
         Checkpoint.open_ ~dir ~kind:"ablation" ~manifest ~extra ())
       checkpoint
   in
-  let cached =
-    List.map
-      (fun (label, thunk) ->
-        let hit =
-          let* st = store in
-          let* d = Checkpoint.find st label in
-          point_of_json d
-        in
-        (label, thunk, hit))
-      labelled
-  in
-  let exec = List.filter_map (fun (l, t, hit) -> if hit = None then Some (l, t) else None) cached in
-  let outs =
-    Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
-      (fun (label, thunk) ->
-        let p = thunk () in
-        Option.iter (fun st -> Checkpoint.record st ~key:label (point_json p)) store;
-        p)
-      exec
-  in
-  let rec merge cached outs =
-    match cached with
-    | [] -> []
-    | (_, _, Some p) :: tl -> p :: merge tl outs
-    | (_, _, None) :: tl -> (
-      match outs with
-      | [] -> assert false
-      | p :: rest -> p :: merge tl rest)
-  in
-  merge cached outs
+  { sweep_name;
+    benchmark;
+    points =
+      Checkpoint.map ?retries ?backoff ?inject_fault ~jobs store ~key:fst ~encode:point_json
+        ~decode:(fun _ -> point_of_json)
+        (fun (_, thunk) -> thunk ())
+        labelled }
 
-(* The local-scheduler binary is compiled and traced at most once per
-   context. Callers force it before fanning points out over domains, so
+let run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx =
+  run_points ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~benchmark:ctx.bench_name
+    ~max_instrs:ctx.max_instrs
+
+(* The local-scheduler trace is compiled and walked at most once per
+   context. Sweeps force it before fanning points out over domains, so
    the memo write never races. *)
-let local_compiled ctx =
+let local_trace ctx =
   match ctx.local with
-  | Some c -> c
+  | Some t -> t
   | None ->
     let c = Pipeline.compile ~profile:ctx.profile ~scheduler:Pipeline.default_local ctx.prog in
-    let trace = Walker.trace ~max_instrs:ctx.max_instrs c.Pipeline.mach in
-    ctx.local <- Some (c, trace);
-    (c, trace)
-
-let local_trace ctx = snd (local_compiled ctx)
+    let t = Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach in
+    ctx.local <- Some t;
+    t
 
 let transfer_buffers ?jobs ?ctx ?max_instrs ?(sizes = [ 2; 4; 8; 16; 32 ]) ?retries
     ?backoff ?inject_fault ?checkpoint bench =
   let ctx = get_ctx ?ctx ?max_instrs bench in
   let trace = local_trace ctx in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let sweep_name = "transfer-buffer entries per cluster (local scheduler)" in
-  let points =
-    run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-      ~benchmark:ctx.bench_name ~max_instrs:ctx.max_instrs
-      (List.map
-         (fun n ->
-           let label = Printf.sprintf "%d entries" n in
-           ( label,
-             fun () ->
-               let cfg =
-                 { (Machine.dual_cluster ()) with
-                   Machine.operand_buffer_entries = n;
-                   result_buffer_entries = n }
-               in
-               point_of ctx label (Machine.run cfg trace) ))
-         sizes)
-  in
-  { sweep_name; benchmark = ctx.bench_name; points }
+  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
+    "transfer-buffer entries per cluster (local scheduler)"
+    (List.map
+       (fun n ->
+         on ctx (Printf.sprintf "%d entries" n) (fun () ->
+             Machine.run_flat
+               { (Machine.dual_cluster ()) with
+                 Machine.operand_buffer_entries = n;
+                 result_buffer_entries = n }
+               trace))
+       sizes)
 
 let imbalance_threshold ?jobs ?ctx ?max_instrs ?(thresholds = [ 1; 2; 4; 8; 16; 32 ])
     ?retries ?backoff ?inject_fault ?checkpoint bench =
   let ctx = get_ctx ?ctx ?max_instrs bench in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let sweep_name = "local-scheduler imbalance threshold" in
-  let points =
-    run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-      ~benchmark:ctx.bench_name ~max_instrs:ctx.max_instrs
-      (List.map
-         (fun t ->
-           let label = Printf.sprintf "threshold %d" t in
-           ( label,
-             fun () ->
-               let c =
-                 Pipeline.compile ~profile:ctx.profile
-                   ~scheduler:(Pipeline.Sched_local { imbalance_threshold = t; window = 0 })
-                   ctx.prog
-               in
-               let trace = Walker.trace ~max_instrs:ctx.max_instrs c.Pipeline.mach in
-               point_of ctx label (Machine.run (Machine.dual_cluster ()) trace) ))
-         thresholds)
-  in
-  { sweep_name; benchmark = ctx.bench_name; points }
+  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
+    "local-scheduler imbalance threshold"
+    (List.map
+       (fun t ->
+         on ctx (Printf.sprintf "threshold %d" t) (fun () ->
+             let c =
+               Pipeline.compile ~profile:ctx.profile
+                 ~scheduler:(Pipeline.Sched_local { imbalance_threshold = t; window = 0 })
+                 ctx.prog
+             in
+             dual (Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach)))
+       thresholds)
 
 let partitioners ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpoint bench
     =
   let ctx = get_ctx ?ctx ?max_instrs bench in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  ignore (local_compiled ctx);
-  let run_sched scheduler label () =
-    let trace =
-      match scheduler with
-      | Pipeline.Sched_none -> ctx.native_trace
-      | Pipeline.Sched_local { imbalance_threshold = 2; window = 0 } -> local_trace ctx
-      | Pipeline.Sched_local _ | Pipeline.Sched_round_robin | Pipeline.Sched_random _ ->
-        let c = Pipeline.compile ~profile:ctx.profile ~scheduler ctx.prog in
-        Walker.trace ~max_instrs:ctx.max_instrs c.Pipeline.mach
-    in
-    point_of ctx label (Machine.run (Machine.dual_cluster ()) trace)
+  ignore (local_trace ctx);
+  let trace = function
+    | Pipeline.Sched_none -> ctx.native_trace
+    | Pipeline.Sched_local { imbalance_threshold = 2; window = 0 } -> local_trace ctx
+    | (Pipeline.Sched_local _ | Pipeline.Sched_round_robin | Pipeline.Sched_random _) as
+      scheduler ->
+      let c = Pipeline.compile ~profile:ctx.profile ~scheduler ctx.prog in
+      Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach
   in
-  let sweep_name = "live-range partitioner" in
-  { sweep_name;
-    benchmark = ctx.bench_name;
-    points =
-      run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-        ~benchmark:ctx.bench_name ~max_instrs:ctx.max_instrs
-        (List.map
-           (fun (name, scheduler) -> (name, run_sched scheduler name))
-           [ ("none", Pipeline.Sched_none); ("random", Pipeline.Sched_random 7);
-             ("round-robin", Pipeline.Sched_round_robin); ("local", Pipeline.default_local)
-           ]) }
+  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx "live-range partitioner"
+    (List.map
+       (fun (name, scheduler) -> on ctx name (fun () -> dual (trace scheduler)))
+       [ ("none", Pipeline.Sched_none); ("random", Pipeline.Sched_random 7);
+         ("round-robin", Pipeline.Sched_round_robin); ("local", Pipeline.default_local) ])
 
 let global_registers ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpoint
     bench =
   let ctx = get_ctx ?ctx ?max_instrs bench in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let run_assignment globals label () =
-    let cfg =
-      { (Machine.dual_cluster ()) with
-        Machine.assignment = Assignment.create ~num_clusters:2 ~globals () }
-    in
-    point_of ctx label (Machine.run cfg ctx.native_trace)
-  in
-  let sweep_name = "global-register designation (native binary)" in
-  { sweep_name;
-    benchmark = ctx.bench_name;
-    points =
-      run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-        ~benchmark:ctx.bench_name ~max_instrs:ctx.max_instrs
-        (List.map
-           (fun (name, globals) -> (name, run_assignment globals name))
-           [ ("no globals", []); ("sp only", [ Mcsim_isa.Reg.sp ]);
-             ("sp+gp (paper)", [ Mcsim_isa.Reg.sp; Mcsim_isa.Reg.gp ]) ]) }
+  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
+    "global-register designation (native binary)"
+    (List.map
+       (fun (name, globals) ->
+         on ctx name (fun () ->
+             Machine.run_flat
+               { (Machine.dual_cluster ()) with
+                 Machine.assignment = Assignment.create ~num_clusters:2 ~globals () }
+               ctx.native_trace))
+       [ ("no globals", []); ("sp only", [ Mcsim_isa.Reg.sp ]);
+         ("sp+gp (paper)", [ Mcsim_isa.Reg.sp; Mcsim_isa.Reg.gp ]) ])
 
 let dispatch_queue_split ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault
     ?checkpoint bench =
   let ctx = get_ctx ?ctx ?max_instrs bench in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let sweep_name =
+  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
     "single-cluster dispatch-queue size (cycles vs the 128-entry baseline)"
-  in
-  let points =
-    run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-      ~benchmark:ctx.bench_name ~max_instrs:ctx.max_instrs
-      (List.map
-         (fun n ->
-           let label = Printf.sprintf "%d entries" n in
-           ( label,
-             fun () ->
-               let cfg = { (Machine.single_cluster ()) with Machine.dq_entries = n } in
-               let r = Machine.run cfg ctx.native_trace in
-               { label;
-                 dual_cycles = r.Machine.cycles;
-                 speedup_pct =
-                   Mcsim_timing.Net_performance.speedup_pct
-                     ~single_cycles:ctx.single_cycles ~dual_cycles:r.Machine.cycles;
-                 replays = r.Machine.replays;
-                 dual_distributed = r.Machine.dual_distributed } ))
-         [ 32; 64; 128; 256 ])
-  in
-  { sweep_name; benchmark = ctx.bench_name; points }
+    (List.map
+       (fun n ->
+         on ctx (Printf.sprintf "%d entries" n) (fun () ->
+             Machine.run_flat
+               { (Machine.single_cluster ()) with Machine.dq_entries = n }
+               ctx.native_trace))
+       [ 32; 64; 128; 256 ])
+
+let unroll_label factor =
+  if factor = 1 then "no unrolling" else Printf.sprintf "unroll x%d" factor
+
+(* [prog] unrolled by [factor], rescheduled with the local scheduler. *)
+let unrolled_trace ~max_instrs ~factor prog =
+  let prog = Mcsim_compiler.Unroll.unroll ~factor prog in
+  let profile = Walker.profile prog in
+  let c = Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog in
+  Walker.trace_flat ~max_instrs c.Pipeline.mach
 
 let unrolling ?jobs ?ctx ?max_instrs ?(factors = [ 1; 2; 4 ]) ?retries ?backoff
     ?inject_fault ?checkpoint bench =
   let ctx = get_ctx ?ctx ?max_instrs bench in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  if List.mem 1 factors then ignore (local_compiled ctx);
-  let sweep_name = "loop unrolling before the local scheduler (paper section 6)" in
-  let points =
-    run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-      ~benchmark:ctx.bench_name ~max_instrs:ctx.max_instrs
-      (List.map
-         (fun factor ->
-           let label =
-             if factor = 1 then "no unrolling" else Printf.sprintf "unroll x%d" factor
-           in
-           ( label,
-             fun () ->
-               let trace =
-                 if factor = 1 then local_trace ctx
-                   (* unroll x1 is the identity: this is exactly the
-                      local-scheduler binary the context already holds *)
-                 else begin
-                   let prog = Mcsim_compiler.Unroll.unroll ~factor ctx.prog in
-                   let profile = Walker.profile prog in
-                   let c =
-                     Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog
-                   in
-                   Walker.trace ~max_instrs:ctx.max_instrs c.Pipeline.mach
-                 end
-               in
-               point_of ctx label (Machine.run (Machine.dual_cluster ()) trace) ))
-         factors)
-  in
-  { sweep_name; benchmark = ctx.bench_name; points }
+  if List.mem 1 factors then ignore (local_trace ctx);
+  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
+    "loop unrolling before the local scheduler (paper section 6)"
+    (List.map
+       (fun factor ->
+         on ctx (unroll_label factor) (fun () ->
+             dual
+               (if factor = 1 then local_trace ctx
+                  (* unroll x1 is the identity: this is exactly the
+                     local-scheduler binary the context already holds *)
+                else unrolled_trace ~max_instrs:ctx.max_instrs ~factor ctx.prog)))
+       factors)
 
 let memory_latency ?jobs ?ctx ?max_instrs ?(latencies = [ 4; 8; 16; 32; 64 ]) ?retries
     ?backoff ?inject_fault ?checkpoint bench =
   let ctx = get_ctx ?ctx ?max_instrs bench in
   let trace = local_trace ctx in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let sweep_name = "memory fetch latency (local scheduler, matched baselines)" in
-  let points =
-    run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-      ~benchmark:ctx.bench_name ~max_instrs:ctx.max_instrs
-      (List.map
-         (fun lat ->
-           let label =
-             Printf.sprintf "%d-cycle memory%s" lat (if lat = 16 then " (paper)" else "")
-           in
-           ( label,
-             fun () ->
-               let cache =
-                 { Mcsim_cache.Cache.default_config with Mcsim_cache.Cache.miss_latency = lat }
-               in
-               let cfg =
-                 { (Machine.dual_cluster ()) with Machine.icache = cache; dcache = cache }
-               in
-               (* Rebase the comparison on a single-cluster machine with the same
-                  memory so the sweep isolates the latency, not the baseline. *)
-               let scfg =
+  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
+    "memory fetch latency (local scheduler, matched baselines)"
+    (List.map
+       (fun lat ->
+         let label =
+           Printf.sprintf "%d-cycle memory%s" lat (if lat = 16 then " (paper)" else "")
+         in
+         let cache =
+           { Mcsim_cache.Cache.default_config with Mcsim_cache.Cache.miss_latency = lat }
+         in
+         ( label,
+           fun () ->
+             (* Rebase the comparison on a single-cluster machine with the same
+                memory so the sweep isolates the latency, not the baseline. *)
+             let single =
+               Machine.run_flat
                  { (Machine.single_cluster ()) with Machine.icache = cache; dcache = cache }
-               in
-               let single = Machine.run scfg ctx.native_trace in
-               let r = Machine.run cfg trace in
-               { label;
-                 dual_cycles = r.Machine.cycles;
-                 speedup_pct =
-                   Mcsim_timing.Net_performance.speedup_pct
-                     ~single_cycles:single.Machine.cycles ~dual_cycles:r.Machine.cycles;
-                 replays = r.Machine.replays;
-                 dual_distributed = r.Machine.dual_distributed } ))
-         latencies)
-  in
-  { sweep_name; benchmark = ctx.bench_name; points }
+                 ctx.native_trace
+             in
+             point_of ~single_cycles:single.Machine.cycles label
+               (Machine.run_flat
+                  { (Machine.dual_cluster ()) with Machine.icache = cache; dcache = cache }
+                  trace) ))
+       latencies)
 
 let mshr_entries ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpoint bench
     =
   let ctx = get_ctx ?ctx ?max_instrs bench in
   let trace = local_trace ctx in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let sweep_name = "data-cache miss-handling entries (Farkas & Jouppi, ISCA'94)" in
-  let points =
-    run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-      ~benchmark:ctx.bench_name ~max_instrs:ctx.max_instrs
-      (List.map
-         (fun (label, mshrs) ->
-           ( label,
-             fun () ->
-               let dcache = { Mcsim_cache.Cache.default_config with Mcsim_cache.Cache.mshrs } in
-               let cfg = { (Machine.dual_cluster ()) with Machine.dcache } in
-               point_of ctx label (Machine.run cfg trace) ))
-         [ ("1 MSHR (blocking-ish)", Some 1); ("2 MSHRs", Some 2); ("4 MSHRs", Some 4);
-           ("8 MSHRs", Some 8); ("inverted MSHR (paper)", None) ])
-  in
-  { sweep_name; benchmark = ctx.bench_name; points }
+  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
+    "data-cache miss-handling entries (Farkas & Jouppi, ISCA'94)"
+    (List.map
+       (fun (label, mshrs) ->
+         on ctx label (fun () ->
+             let dcache = { Mcsim_cache.Cache.default_config with Mcsim_cache.Cache.mshrs } in
+             Machine.run_flat { (Machine.dual_cluster ()) with Machine.dcache } trace))
+       [ ("1 MSHR (blocking-ish)", Some 1); ("2 MSHRs", Some 2); ("4 MSHRs", Some 4);
+         ("8 MSHRs", Some 8); ("inverted MSHR (paper)", None) ])
 
 let queue_organization ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpoint
     bench =
   let ctx = get_ctx ?ctx ?max_instrs bench in
   let trace = local_trace ctx in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let sweep_name = "dispatch-queue organization (single queue vs per-class queues)" in
-  let points =
-    run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-      ~benchmark:ctx.bench_name ~max_instrs:ctx.max_instrs
-      (List.map
-         (fun (label, split, entries) ->
-           ( label,
-             fun () ->
-               let cfg =
-                 { (Machine.dual_cluster ()) with
-                   Machine.queue_split = split;
-                   dq_entries = entries }
-               in
-               point_of ctx label (Machine.run cfg trace) ))
-         [ ("unified 64 (paper)", Machine.Unified, 64);
-           ("split 32/16/16 (R10000-style)", Machine.Per_class, 64);
-           ("unified 32", Machine.Unified, 32);
-           ("split 16/8/8", Machine.Per_class, 32) ])
-  in
-  { sweep_name; benchmark = ctx.bench_name; points }
+  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
+    "dispatch-queue organization (single queue vs per-class queues)"
+    (List.map
+       (fun (label, split, entries) ->
+         on ctx label (fun () ->
+             Machine.run_flat
+               { (Machine.dual_cluster ()) with
+                 Machine.queue_split = split;
+                 dq_entries = entries }
+               trace))
+       [ ("unified 64 (paper)", Machine.Unified, 64);
+         ("split 32/16/16 (R10000-style)", Machine.Per_class, 64);
+         ("unified 32", Machine.Unified, 32);
+         ("split 16/8/8", Machine.Per_class, 32) ])
 
 (* A hand-written streaming kernel whose iterations are fully independent
    (only the trivial induction variable is loop-carried): the code shape
@@ -431,39 +334,24 @@ let stream_kernel ~trip =
 
 let unrolling_kernel ?jobs ?(max_instrs = 40_000) ?(factors = [ 1; 2; 4 ]) ?retries
     ?backoff ?inject_fault ?checkpoint () =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let prog = stream_kernel ~trip:20_000 in
-  let profile0 = Walker.profile prog in
-  let native = Pipeline.compile ~profile:profile0 ~scheduler:Pipeline.Sched_none prog in
-  let native_trace = Walker.trace ~max_instrs native.Pipeline.mach in
-  let single = Machine.run (Machine.single_cluster ()) native_trace in
-  let ctx_single = single.Machine.cycles in
-  let sweep_name = "loop unrolling on an unroll-friendly streaming kernel" in
-  let points =
-    run_points ?retries ?backoff ?inject_fault ?checkpoint ~jobs ~sweep_name
-      ~benchmark:"stream" ~max_instrs
-      (List.map
-         (fun factor ->
-           let label =
-             if factor = 1 then "no unrolling" else Printf.sprintf "unroll x%d" factor
-           in
-           ( label,
-             fun () ->
-               let prog' = Mcsim_compiler.Unroll.unroll ~factor prog in
-               let profile = Walker.profile prog' in
-               let c = Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog' in
-               let trace = Walker.trace ~max_instrs c.Pipeline.mach in
-               let r = Machine.run (Machine.dual_cluster ()) trace in
-               { label;
-                 dual_cycles = r.Machine.cycles;
-                 speedup_pct =
-                   Mcsim_timing.Net_performance.speedup_pct ~single_cycles:ctx_single
-                     ~dual_cycles:r.Machine.cycles;
-                 replays = r.Machine.replays;
-                 dual_distributed = r.Machine.dual_distributed } ))
-         factors)
+  let native =
+    Pipeline.compile ~profile:(Walker.profile prog) ~scheduler:Pipeline.Sched_none prog
   in
-  { sweep_name; benchmark = "stream"; points }
+  let single =
+    Machine.run_flat (Machine.single_cluster ())
+      (Walker.trace_flat ~max_instrs native.Pipeline.mach)
+  in
+  run_points ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~benchmark:"stream"
+    ~max_instrs "loop unrolling on an unroll-friendly streaming kernel"
+    (List.map
+       (fun factor ->
+         let label = unroll_label factor in
+         ( label,
+           fun () ->
+             point_of ~single_cycles:single.Machine.cycles label
+               (dual (unrolled_trace ~max_instrs ~factor prog)) ))
+       factors)
 
 let render s =
   let header = [ "point"; "cycles"; "vs single"; "replays"; "dual-dist" ] in

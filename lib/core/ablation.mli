@@ -3,23 +3,22 @@
     and reports dual-cluster cycles (and the Table-2 metric against the
     shared single-cluster baseline).
 
-    Every sweep takes [?jobs] (default {!Mcsim_util.Pool.default_jobs})
-    and fans its points out over that many domains with
-    {!Mcsim_util.Pool.parallel_map}; results are bit-for-bit identical
+    Every sweep fans its points out through {!Checkpoint.map}, one unit
+    per point, over [?jobs] domains (default
+    {!Mcsim_util.Pool.default_jobs}); results are bit-for-bit identical
     for every [jobs] value. A sweep also takes [?ctx]: pass the same
     {!ctx} to several sweeps over one benchmark to reuse its profile,
-    native binary/trace, single-cluster baseline and (memoized)
-    local-scheduler binary instead of recomputing them per sweep. When
-    [ctx] is given, [max_instrs] is ignored.
+    native trace, single-cluster baseline and (memoized) local-scheduler
+    trace instead of recomputing them per sweep. When [ctx] is given,
+    [max_instrs] is ignored.
 
-    Every sweep also takes the durability knobs of
-    {!Mcsim_util.Pool.parallel_map} ([?retries], [?backoff],
-    [?inject_fault]) and [?checkpoint]: with a checkpoint directory,
-    each completed point is durably recorded (one {!Checkpoint} unit
-    per point, keyed by label) and skipped when the sweep reruns, so an
-    interrupted sweep finishes from where it died with identical
-    points. A directory holding a different sweep (name, benchmark,
-    trace budget or point set) is refused with [Failure]. *)
+    [?retries], [?backoff] and [?inject_fault] are the executor's
+    durability knobs, and [?checkpoint] its store: with a checkpoint
+    directory, each completed point is durably recorded (keyed by
+    label) and skipped when the sweep reruns, so an interrupted sweep
+    finishes from where it died with identical points. A directory
+    holding a different sweep (name, benchmark, trace budget or point
+    set) is refused with [Failure]. *)
 
 type point = {
   label : string;
@@ -37,8 +36,8 @@ type sweep = {
 
 type ctx
 (** Per-benchmark work shared across sweeps: program, profile, native
-    binary and trace, single-cluster baseline cycles, and a lazily
-    memoized local-scheduler binary/trace. Safe to share with parallel
+    trace, single-cluster baseline cycles, and a lazily memoized
+    local-scheduler trace. Safe to share with parallel
     sweeps only after the sweep's own setup has forced the memo (every
     sweep in this module does so before fanning out). *)
 

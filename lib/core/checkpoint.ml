@@ -1,5 +1,7 @@
 module Json = Mcsim_obs.Json
 module Manifest = Mcsim_obs.Manifest
+module Metrics = Mcsim_obs.Metrics
+module Pool = Mcsim_util.Pool
 
 type t = {
   dir : string;
@@ -34,6 +36,13 @@ let write_json_atomic path v =
   in
   Json.write_file tmp v "\n";
   Sys.rename tmp path
+
+let unit_snapshot ~manifest ~key fields =
+  Json.Obj
+    [ ("schema_version", Json.Int Manifest.schema_version);
+      ("kind", Json.String "unit");
+      ("manifest", Manifest.to_json manifest);
+      ("data", Json.Obj (("unit_key", Json.String key) :: fields)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Identity                                                            *)
@@ -117,13 +126,7 @@ let find t key =
       | Some _ | None -> None)
 
 let record t ~key fields =
-  let snapshot =
-    Json.Obj
-      [ ("schema_version", Json.Int Manifest.schema_version);
-        ("kind", Json.String "unit");
-        ("manifest", Manifest.to_json t.manifest);
-        ("data", Json.Obj (("unit_key", Json.String key) :: fields)) ]
-  in
+  let snapshot = unit_snapshot ~manifest:t.manifest ~key fields in
   Mutex.protect t.mutex (fun () -> write_json_atomic (unit_file t key) snapshot)
 
 let keys t =
@@ -137,6 +140,81 @@ let keys t =
              then Option.bind (read_json (Filename.concat t.dir name)) unit_key_of_json
              else None)
       |> List.sort_uniq String.compare)
+
+(* ------------------------------------------------------------------ *)
+(* The unit executor                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type ('a, 'b) lookup = {
+  store : t option;
+  key : 'a -> string;
+  encode : 'b -> (string * Json.t) list;
+  cached : ('a * 'b option) list;
+}
+
+let lookup store ~key ~encode ~decode units =
+  let hit u = Option.bind store (fun st -> Option.bind (find st (key u)) (decode u)) in
+  { store; key; encode; cached = List.map (fun u -> (u, hit u)) units }
+
+let fill ?retries ?backoff ?inject_fault ~jobs f l =
+  let run u =
+    let y = f u in
+    Option.iter (fun st -> record st ~key:(l.key u) (l.encode y)) l.store;
+    y
+  in
+  let misses =
+    List.filter_map (fun (u, hit) -> if Option.is_none hit then Some u else None) l.cached
+  in
+  let fresh = Pool.parallel_map_status ?retries ?backoff ?inject_fault ~jobs run misses in
+  (* Hits keep their slots; the fresh statuses fill the gaps in order. *)
+  snd
+    (List.fold_left_map
+       (fun fresh (_, hit) ->
+         match (hit, fresh) with
+         | Some y, _ -> (fresh, Pool.Done y)
+         | None, st :: rest -> (rest, st)
+         | None, [] -> assert false)
+       fresh l.cached)
+
+let map ?retries ?backoff ?inject_fault ~jobs store ~key ~encode ~decode f units =
+  Pool.values
+    (fill ?retries ?backoff ?inject_fault ~jobs f (lookup store ~key ~encode ~decode units))
+
+let map_matrix ?retries ?backoff ?inject_fault ~jobs store ~key ~encode ~decode ~prepare f
+    groups points =
+  let groups = Array.of_list groups in
+  let l =
+    lookup store
+      ~key:(fun (i, p) -> key groups.(i) p)
+      ~encode
+      ~decode:(fun (i, p) -> decode groups.(i) p)
+      (List.concat
+         (List.init (Array.length groups) (fun i -> List.map (fun p -> (i, p)) points)))
+  in
+  (* Stage 1: one job per group with a unit left to run. *)
+  let todo =
+    List.sort_uniq Int.compare
+      (List.filter_map
+         (fun ((i, _), hit) -> if Option.is_none hit then Some i else None)
+         l.cached)
+  in
+  let preps = Array.make (Array.length groups) None in
+  List.iter2
+    (fun i p -> preps.(i) <- Some p)
+    todo
+    (Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
+       (fun i -> prepare groups.(i))
+       todo);
+  (* Stage 2: one job per missing unit. *)
+  let outs =
+    Pool.values
+      (fill ?retries ?backoff ?inject_fault ~jobs (fun (i, p) -> f (Option.get preps.(i)) p) l)
+  in
+  let n = List.length points in
+  List.init (Array.length groups) (fun i -> List.filteri (fun j _ -> j / n = i) outs)
+
+let result_fields r = [ ("result", Metrics.result_json r) ]
+let result_of_fields d = Option.bind (Json.member "result" d) Metrics.result_of_json
 
 (* ------------------------------------------------------------------ *)
 (* CLI command record                                                  *)

@@ -65,6 +65,113 @@ val unit_basename : string -> string
     can read checkpoint-format entries and old checkpoint directories
     double as result caches. *)
 
+(** {2 The unit executor}
+
+    Every sweep driver runs its units through here: {!lookup} decodes
+    each unit's recorded entry serially, before any fan-out, and
+    {!fill} computes only the misses on the domain pool, recording each
+    as it completes. A sweep without a checkpoint passes [None] and
+    every unit is a miss. Because hits never reach the pool, [retries]
+    and [inject_fault] see only the units that actually run: fault job
+    indices count misses, in input order. *)
+
+type ('a, 'b) lookup = {
+  store : t option;
+  key : 'a -> string;  (** the unit's checkpoint key *)
+  encode : 'b -> (string * Mcsim_obs.Json.t) list;  (** the fields {!record}ed *)
+  cached : ('a * 'b option) list;
+      (** every unit in input order with its decoded entry; [None] is a
+          miss. A caller may filter or force-miss units before {!fill}. *)
+}
+
+val lookup :
+  t option ->
+  key:('a -> string) ->
+  encode:('b -> (string * Mcsim_obs.Json.t) list) ->
+  decode:('a -> Mcsim_obs.Json.t -> 'b option) ->
+  'a list ->
+  ('a, 'b) lookup
+(** Decode every unit's entry with [decode] (applied to the unit and
+    its {!find} result); an undecodable entry is a miss. *)
+
+val fill :
+  ?retries:int ->
+  ?backoff:(int -> float) ->
+  ?inject_fault:(job:int -> attempt:int -> bool) ->
+  jobs:int ->
+  ('a -> 'b) ->
+  ('a, 'b) lookup ->
+  'b Mcsim_util.Pool.status list
+(** Run [f] on the misses through {!Mcsim_util.Pool.parallel_map_status},
+    recording each completed unit, and return one status per unit of
+    [cached], in order (hits as [Done]). A unit that exhausts its
+    retries is [Failed] and stays unrecorded. *)
+
+val map :
+  ?retries:int ->
+  ?backoff:(int -> float) ->
+  ?inject_fault:(job:int -> attempt:int -> bool) ->
+  jobs:int ->
+  t option ->
+  key:('a -> string) ->
+  encode:('b -> (string * Mcsim_obs.Json.t) list) ->
+  decode:('a -> Mcsim_obs.Json.t -> 'b option) ->
+  ('a -> 'b) ->
+  'a list ->
+  'b list
+(** {!lookup} then {!fill}, re-raising the first failed unit's
+    exception (with its backtrace) once every unit has run; the units
+    that completed are recorded either way. *)
+
+val map_matrix :
+  ?retries:int ->
+  ?backoff:(int -> float) ->
+  ?inject_fault:(job:int -> attempt:int -> bool) ->
+  jobs:int ->
+  t option ->
+  key:('g -> 'a -> string) ->
+  encode:('b -> (string * Mcsim_obs.Json.t) list) ->
+  decode:('g -> 'a -> Mcsim_obs.Json.t -> 'b option) ->
+  prepare:('g -> 'p) ->
+  ('p -> 'a -> 'b) ->
+  'g list ->
+  'a list ->
+  'b list list
+(** {!map} over the [groups × points] matrix, one result list per
+    group. A group's shared preparation ([prepare], e.g. a benchmark's
+    program and profile) runs first, on the pool, once per group that
+    still has a unit to run; a fully recorded group is never prepared.
+    [inject_fault] job indices restart at 0 for the units after the
+    preparations. *)
+
+val result_fields : Mcsim_cluster.Machine.result -> (string * Mcsim_obs.Json.t) list
+(** The unit fields of a sweep cell that is one machine result:
+    [[("result", Metrics.result_json r)]]. *)
+
+val result_of_fields : Mcsim_obs.Json.t -> Mcsim_cluster.Machine.result option
+(** Inverse of {!result_fields}, for {!lookup}'s [decode]. *)
+
+(** {2 File primitives shared by the stores} *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents; an existing directory
+    (or a concurrent creator) is fine. *)
+
+val read_json : string -> Mcsim_obs.Json.t option
+(** The file's JSON, or [None] when it is missing, unreadable or not
+    JSON. *)
+
+val write_json_atomic : string -> Mcsim_obs.Json.t -> unit
+(** Write to a temp file in the same directory, then rename, so the
+    file is never observed torn. *)
+
+val unit_snapshot :
+  manifest:Mcsim_obs.Manifest.t -> key:string -> (string * Mcsim_obs.Json.t) list ->
+  Mcsim_obs.Json.t
+(** The unit file every store writes: a [Metrics]-schema snapshot with
+    [kind = "unit"], [manifest], and [data] holding ["unit_key"] then
+    the fields. *)
+
 val write_command : dir:string -> (string * Mcsim_obs.Json.t) list -> unit
 (** Write [dir/command.json] — the CLI invocation that started the
     sweep, stored before any unit runs so [mcsim resume] can

@@ -48,7 +48,7 @@ val run :
     every [jobs] value.
 
     [retries]/[backoff]/[inject_fault] are forwarded to
-    {!Mcsim_util.Pool.parallel_map}; with [checkpoint], every completed
+    {!Checkpoint.map_matrix}; with [checkpoint], every completed
     (benchmark, clusters, topology) cell is durably recorded in that
     directory and skipped on rerun, so an interrupted sweep resumes
     with identical rows. A directory from a different sweep (seed,

@@ -53,6 +53,12 @@ let scheduler_ident_n ~clusters scheduler =
   if clusters = 2 then scheduler_ident scheduler
   else Printf.sprintf "%s@%dcl" (scheduler_ident scheduler) clusters
 
+let trace_key ~clusters ~seed ~max_instrs ~benchmark scheduler =
+  { Trace_store.benchmark;
+    scheduler = scheduler_ident_n ~clusters scheduler;
+    seed;
+    max_instrs }
+
 (* The committed trace of [prog]'s binary under [scheduler]: from the
    trace store when present there, otherwise walked (and saved). Keyed by
    benchmark name — the store assumes a name identifies one program. *)
@@ -60,13 +66,10 @@ let trace_of ~trace_store ~clusters ~seed ~max_instrs ~benchmark ~scheduler walk
   match trace_store with
   | None -> walk ()
   | Some store ->
-    let key =
-      { Trace_store.benchmark;
-        scheduler = scheduler_ident_n ~clusters scheduler;
-        seed;
-        max_instrs }
-    in
-    fst (Trace_store.load_or_build store key walk)
+    fst
+      (Trace_store.load_or_build store
+         (trace_key ~clusters ~seed ~max_instrs ~benchmark scheduler)
+         walk)
 
 let make_prep ?trace_store ~clusters ~seed ~max_instrs prog =
   let profile = Walker.profile ~seed prog in
@@ -135,7 +138,6 @@ let run_sim ~clusters ~seed ~max_instrs ~engine ~sampling ~single_config ~dual_c
 (* ------------------------------------------------------------------ *)
 
 module Json = Mcsim_obs.Json
-module Metrics = Mcsim_obs.Metrics
 
 let ( let* ) = Option.bind
 
@@ -166,32 +168,51 @@ let open_store ~dir ~seed ~max_instrs ~engine ~sampling ~schedulers ~single_conf
   in
   Checkpoint.open_ ~dir ~kind:"experiment" ~manifest ~extra ()
 
-let cached_out store name = function
+let sim_bench = function Sim_single i | Sim_sched (i, _) -> i
+
+let sim_key names = function
+  | Sim_single i -> key_single names.(i)
+  | Sim_sched (i, (sname, _)) -> key_sched names.(i) sname
+
+let out_fields = function
+  | Out_single r -> Checkpoint.result_fields r
+  | Out_sched { dual; static_single; static_dual; spills; _ } ->
+    Checkpoint.result_fields dual
+    @ [ ("static_single", Json.Int static_single);
+        ("static_dual", Json.Int static_dual);
+        ("spills", Json.Int spills) ]
+
+let out_of_fields spec d =
+  match spec with
   | Sim_single _ ->
-    let* d = Checkpoint.find store (key_single name) in
-    let* r = Json.member "result" d in
-    let* r = Metrics.result_of_json r in
+    let* r = Checkpoint.result_of_fields d in
     Some (Out_single r)
   | Sim_sched (_, (sname, _)) ->
-    let* d = Checkpoint.find store (key_sched name sname) in
-    let* dual = Json.member "result" d in
-    let* dual = Metrics.result_of_json dual in
+    let* dual = Checkpoint.result_of_fields d in
     let int k = Option.bind (Json.member k d) Json.get_int in
     let* static_single = int "static_single" in
     let* static_dual = int "static_dual" in
     let* spills = int "spills" in
     Some (Out_sched { name = sname; dual; static_single; static_dual; spills })
 
-let record_out store bench out =
-  match out with
-  | Out_single r ->
-    Checkpoint.record store ~key:(key_single bench) [ ("result", Metrics.result_json r) ]
-  | Out_sched { name = sname; dual; static_single; static_dual; spills } ->
-    Checkpoint.record store ~key:(key_sched bench sname)
-      [ ("result", Metrics.result_json dual);
-        ("static_single", Json.Int static_single);
-        ("static_dual", Json.Int static_dual);
-        ("spills", Json.Int spills) ]
+(* A benchmark's row from its unit outputs: the single-cluster baseline
+   first, then one dual run per scheduler. *)
+let comparison_of ~benchmark ~trace_instrs = function
+  | Out_single single :: sched_outs ->
+    let run = function
+      | Out_sched { name; dual; static_single; static_dual; spills } ->
+        { scheduler = name;
+          dual;
+          speedup_pct =
+            Mcsim_timing.Net_performance.speedup_pct ~single_cycles:single.Machine.cycles
+              ~dual_cycles:dual.Machine.cycles;
+          static_single;
+          static_dual;
+          spills }
+      | Out_single _ -> assert false
+    in
+    { benchmark; trace_instrs; single; runs = List.map run sched_outs }
+  | Out_sched _ :: _ | [] -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* The fan-out core                                                    *)
@@ -199,9 +220,7 @@ let record_out store bench out =
 
 (* Like run_many, but durable: failure degrades to a per-benchmark
    [Error] instead of aborting the sweep, and with [checkpoint] every
-   completed unit is stored and never recomputed. Cached units are
-   decoded serially before any fan-out, so [retries]/[inject_fault]
-   only ever apply to units that actually execute. *)
+   completed unit is stored and never recomputed. *)
 let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_config
     ~dual_config ~retries ~backoff ~inject_fault ~checkpoint ~trace_cache progs :
     (comparison, Pool.failure) result list =
@@ -220,148 +239,75 @@ let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_
       checkpoint
   in
   let names = Array.of_list (List.map (fun p -> p.Mcsim_ir.Program.name) progs) in
-  let n = Array.length names in
-  let unit_specs i = Sim_single i :: List.map (fun s -> Sim_sched (i, s)) schedulers in
-  (* Serial pre-pass: what the checkpoint already holds. *)
-  let cached =
-    Array.init n (fun i ->
-        List.map
-          (fun spec ->
-            let out = Option.bind store (fun st -> cached_out st names.(i) spec) in
-            (spec, out))
-          (unit_specs i))
+  let sims =
+    Checkpoint.lookup store ~key:(sim_key names) ~encode:out_fields ~decode:out_of_fields
+      (List.concat
+         (List.mapi
+            (fun i _ -> Sim_single i :: List.map (fun s -> Sim_sched (i, s)) schedulers)
+            progs))
   in
-  let cached_meta =
-    Array.init n (fun i ->
-        let* st = store in
-        let* d = Checkpoint.find st (key_meta names.(i)) in
-        Option.bind (Json.member "trace_instrs" d) Json.get_int)
-  in
-  let needs_prep i =
-    Option.is_none cached_meta.(i)
-    || List.exists (fun (_, out) -> Option.is_none out) cached.(i)
+  let has_miss i =
+    List.exists (fun (spec, out) -> sim_bench spec = i && Option.is_none out) sims.cached
   in
   (* Stage 1: per-benchmark preparation, one job per benchmark that
-     still has work to do. *)
-  let prep_jobs =
-    List.filteri (fun i _ -> needs_prep i) (List.mapi (fun i p -> (i, p)) progs)
+     still has a simulation to run or lacks its meta record. A prep
+     unit's value is the committed trace length plus, when it ran, the
+     prep itself. *)
+  let metas =
+    Checkpoint.lookup store
+      ~key:(fun (i, _) -> key_meta names.(i))
+      ~encode:(fun (n, _) -> [ ("trace_instrs", Json.Int n) ])
+      ~decode:(fun _ d ->
+        let* n = Option.bind (Json.member "trace_instrs" d) Json.get_int in
+        Some (n, None))
+      (List.mapi (fun i p -> (i, p)) progs)
   in
-  let preps : prep option array = Array.make n None in
-  let prep_fail : Pool.failure option array = Array.make n None in
-  Pool.parallel_map_status ~retries ?backoff ?inject_fault ~jobs
-    (fun (i, prog) ->
-      let p = make_prep ?trace_store ~clusters ~seed ~max_instrs prog in
-      Option.iter
-        (fun st ->
-          Checkpoint.record st ~key:(key_meta names.(i))
-            [ ("trace_instrs", Json.Int (Flat_trace.length p.p_native_trace)) ])
-        store;
-      (i, p))
-    prep_jobs
-  |> List.iter2
-       (fun (i, _) st ->
-         match st with
-         | Pool.Done (_, p) -> preps.(i) <- Some p
-         | Pool.Failed f -> prep_fail.(i) <- Some f)
-       prep_jobs;
+  let preps =
+    Checkpoint.fill ~retries ?backoff ?inject_fault ~jobs
+      (fun (_, prog) ->
+        let p = make_prep ?trace_store ~clusters ~seed ~max_instrs prog in
+        (Flat_trace.length p.p_native_trace, Some p))
+      { metas with
+        cached =
+          List.map
+            (fun (((i, _) as u), m) -> (u, if has_miss i then None else m))
+            metas.cached }
+    |> Array.of_list
+  in
+  let prepared i = match preps.(i) with Pool.Done _ -> true | Pool.Failed _ -> false in
+  let prep_of i =
+    match preps.(i) with
+    | Pool.Done (_, Some p) -> p
+    | Pool.Done (_, None) | Pool.Failed _ -> assert false
+  in
   (* Stage 2: every still-missing (benchmark x scheduler x machine-config)
      simulation is its own job, for benchmarks whose preparation
      succeeded. Job order fixes result order; which domain runs which
      job is irrelevant because jobs share nothing mutable. *)
-  let exec =
-    List.concat
-      (List.init n (fun i ->
-           if Option.is_none preps.(i) then []
-           else
-             List.filter_map
-               (fun (spec, out) -> if Option.is_none out then Some spec else None)
-               cached.(i)))
+  let sims =
+    { sims with cached = List.filter (fun (spec, _) -> prepared (sim_bench spec)) sims.cached }
   in
-  let get_prep i = Option.get preps.(i) in
-  let exec_statuses =
-    Pool.parallel_map_status ~retries ?backoff ?inject_fault ~jobs
-      (fun spec ->
-        let out =
-          run_sim ~clusters ~seed ~max_instrs ~engine ~sampling ~single_config
-            ~dual_config ~trace_store get_prep spec
+  let outs =
+    List.combine (List.map fst sims.cached)
+      (Checkpoint.fill ~retries ?backoff ?inject_fault ~jobs
+         (run_sim ~clusters ~seed ~max_instrs ~engine ~sampling ~single_config ~dual_config
+            ~trace_store prep_of)
+         sims)
+  in
+  List.mapi
+    (fun i benchmark ->
+      match preps.(i) with
+      | Pool.Failed f -> Error f
+      | Pool.Done (trace_instrs, _) -> (
+        let statuses =
+          List.filter_map (fun (spec, st) -> if sim_bench spec = i then Some st else None) outs
         in
-        let bench = match spec with Sim_single i | Sim_sched (i, _) -> names.(i) in
-        Option.iter (fun st -> record_out st bench out) store;
-        out)
-      exec
-  in
-  (* Reassemble in benchmark order: cached units and freshly computed
-     ones interleave exactly as the exec list was built. next_fresh
-     consumes the exec statuses positionally, so every consumer below
-     sequences its recursion with explicit [let] bindings — OCaml
-     evaluates [::] and constructor arguments right-to-left, which
-     would otherwise visit the benchmarks backwards. *)
-  let fresh = ref exec_statuses in
-  let next_fresh () =
-    match !fresh with
-    | [] -> assert false
-    | st :: tl ->
-      fresh := tl;
-      st
-  in
-  let assemble i =
-    match prep_fail.(i) with
-    | Some f ->
-      (* A benchmark whose preparation exhausted its retries never ran
-         any simulations, so it consumed nothing from the exec list. *)
-      Error f
-    | None -> (
-      let statuses =
-        let rec take = function
-          | [] -> []
-          | (_, Some out) :: tl -> Pool.Done out :: take tl
-          | (_, None) :: tl ->
-            let st = next_fresh () in
-            st :: take tl
-        in
-        take cached.(i)
-      in
-      match
-        List.find_map (function Pool.Failed f -> Some f | Pool.Done _ -> None) statuses
-      with
-      | Some f -> Error f
-      | None -> (
-        let outs =
-          List.map (function Pool.Done o -> o | Pool.Failed _ -> assert false) statuses
-        in
-        match outs with
-        | Out_single single :: sched_outs ->
-          let runs =
-            List.map
-              (function
-                | Out_sched { name; dual; static_single; static_dual; spills } ->
-                  { scheduler = name;
-                    dual;
-                    speedup_pct =
-                      Mcsim_timing.Net_performance.speedup_pct
-                        ~single_cycles:single.Machine.cycles
-                        ~dual_cycles:dual.Machine.cycles;
-                    static_single;
-                    static_dual;
-                    spills }
-                | Out_single _ -> assert false)
-              sched_outs
-          in
-          let trace_instrs =
-            match preps.(i) with
-            | Some p -> Flat_trace.length p.p_native_trace
-            | None -> Option.get cached_meta.(i)
-          in
-          Ok { benchmark = names.(i); trace_instrs; single; runs }
-        | Out_sched _ :: _ | [] -> assert false))
-  in
-  let rec loop i =
-    if i >= n then []
-    else
-      let c = assemble i in
-      c :: loop (i + 1)
-  in
-  loop 0
+        match
+          List.find_map (function Pool.Failed f -> Some f | Pool.Done _ -> None) statuses
+        with
+        | Some f -> Error f
+        | None -> Ok (comparison_of ~benchmark ~trace_instrs (Pool.values statuses))))
+    (Array.to_list names)
 
 let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(seed = 1)
     ?(schedulers = default_schedulers) ?engine ?sampling ?single_config ?dual_config

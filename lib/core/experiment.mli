@@ -45,6 +45,19 @@ val scheduler_ident_n : clusters:int -> Mcsim_compiler.Pipeline.scheduler -> str
     {!scheduler_ident}, so historical trace-store entries keep their
     keys. *)
 
+val trace_key :
+  clusters:int ->
+  seed:int ->
+  max_instrs:int ->
+  benchmark:string ->
+  Mcsim_compiler.Pipeline.scheduler ->
+  Trace_store.key
+(** The {!Trace_store} key of [benchmark]'s committed trace, compiled
+    by [scheduler] for [clusters] clusters and walked with [seed] up to
+    [max_instrs] instructions. Every path that caches a compiled trace
+    (this module's sweeps, the serve layer's runs) addresses it through
+    here, so they share entries. *)
+
 val run_many :
   ?jobs:int ->
   ?max_instrs:int ->

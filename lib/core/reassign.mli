@@ -33,7 +33,7 @@ val run :
     identical for every [jobs] value.
 
     [retries]/[backoff]/[inject_fault] are forwarded to
-    {!Mcsim_util.Pool.parallel_map}; with [checkpoint], each of the two
+    {!Checkpoint.map}; with [checkpoint], each of the two
     simulations is one durable unit in that directory, reloaded instead
     of rerun when the demo is resumed with the same
     [phase_iterations]. *)

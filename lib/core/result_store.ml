@@ -5,14 +5,8 @@ type t = { dir : string; mutex : Mutex.t }
 
 let dir t = t.dir
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.is_directory path -> ()
-  end
-
 let open_ ~dir =
-  mkdir_p dir;
+  Checkpoint.mkdir_p dir;
   { dir; mutex = Mutex.create () }
 
 (* ------------------------------------------------------------------ *)
@@ -34,22 +28,6 @@ let digest ~manifest ~key = Digest.to_hex (Digest.string (identity ~manifest ~ke
 
 let res_basename dg = "res-" ^ dg ^ ".json"
 
-(* ------------------------------------------------------------------ *)
-(* Files                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let read_json path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | contents -> (match Json.of_string contents with Ok v -> Some v | Error _ -> None)
-  | exception Sys_error _ -> None
-
-let write_json_atomic path v =
-  let tmp =
-    Filename.concat (Filename.dirname path) (".tmp-" ^ Filename.basename path)
-  in
-  Json.write_file tmp v "\n";
-  Sys.rename tmp path
-
 (* The stored snapshot's own identity — [None] when the file is not a
    unit snapshot. Re-deriving it from the content (rather than trusting
    the file name) is what makes digest collisions and files copied
@@ -63,7 +41,7 @@ let stored_identity j =
 let find t ~manifest ~key =
   let want = identity ~manifest ~key in
   let check path =
-    match Option.bind (read_json path) (fun j ->
+    match Option.bind (Checkpoint.read_json path) (fun j ->
               Option.map (fun id -> (id, j)) (stored_identity j))
     with
     | Some ((id, _), j) when id = want -> Json.member "data" j
@@ -81,15 +59,9 @@ let find t ~manifest ~key =
       | None -> check (Filename.concat t.dir (Checkpoint.unit_basename key)))
 
 let record t ~manifest ~key fields =
-  let snapshot =
-    Json.Obj
-      [ ("schema_version", Json.Int Manifest.schema_version);
-        ("kind", Json.String "unit");
-        ("manifest", Manifest.to_json manifest);
-        ("data", Json.Obj (("unit_key", Json.String key) :: fields)) ]
-  in
+  let snapshot = Checkpoint.unit_snapshot ~manifest ~key fields in
   let path = Filename.concat t.dir (res_basename (digest ~manifest ~key)) in
-  Mutex.protect t.mutex (fun () -> write_json_atomic path snapshot)
+  Mutex.protect t.mutex (fun () -> Checkpoint.write_json_atomic path snapshot)
 
 (* ------------------------------------------------------------------ *)
 (* Listing and pruning                                                 *)
@@ -125,7 +97,7 @@ let entries t =
         (fun name ->
           let path = Filename.concat t.dir name in
           let e_bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-          match Option.bind (read_json path) (fun j ->
+          match Option.bind (Checkpoint.read_json path) (fun j ->
                     Option.map (fun id -> (id, j)) (stored_identity j))
           with
           | Some ((id, key), j) ->

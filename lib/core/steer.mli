@@ -10,9 +10,10 @@
     count) pair is the baseline the dynamic policies are scored against
     ([vs_static_pct]), and is bit-identical to the pre-steering machine.
 
-    The sweep follows the two-stage fan-out of the other experiments:
-    one job per benchmark for program + profile, then one deterministic,
-    independently checkpointable job per matrix cell. *)
+    The sweep runs on {!Checkpoint.map_matrix}: one job per benchmark
+    with a cell left to run (program + profile), then one
+    deterministic, independently checkpointable job per missing matrix
+    cell. *)
 
 type cell = {
   scheduler : string;  (** {!Mcsim_compiler.Pipeline.scheduler_name} *)

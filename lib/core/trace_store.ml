@@ -5,14 +5,8 @@ type t = { dir : string }
 
 let dir t = t.dir
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.is_directory path -> ()
-  end
-
 let open_ ~dir =
-  mkdir_p dir;
+  Checkpoint.mkdir_p dir;
   { dir }
 
 type key = {

@@ -25,9 +25,8 @@ type t
 
 val create : ?counter_period:int -> Mcsim_cluster.Machine.config -> t
 (** An empty trace for a machine of [config]'s shape. [counter_period]
-    (default 8) is the cycle stride {!record} samples occupancy at; it
-    is also stored so callers driving the machine themselves can pass
-    {!counter_period} to [Machine.run]'s [occupancy_period].
+    (default 8) is the cycle stride occupancy is sampled at: callers
+    pass {!counter_period} to [Machine.run_flat]'s [occupancy_period].
     @raise Invalid_argument if [counter_period < 1]. *)
 
 val counter_period : t -> int
@@ -37,15 +36,6 @@ val observer : t -> Mcsim_cluster.Machine.event -> unit
 
 val occupancy_observer : t -> Mcsim_cluster.Machine.occupancy -> unit
 (** Feed as [~on_occupancy] to {!Mcsim_cluster.Machine.run}. *)
-
-val record :
-  ?engine:Mcsim_cluster.Machine.engine ->
-  ?counter_period:int ->
-  ?max_cycles:int ->
-  Mcsim_cluster.Machine.config ->
-  Mcsim_isa.Instr.dynamic array ->
-  t * Mcsim_cluster.Machine.result
-(** Run the machine with both observers attached. *)
 
 val to_json : ?manifest:Manifest.t -> t -> Json.t
 (** The trace as a Chrome-trace JSON object: [traceEvents] (metadata,

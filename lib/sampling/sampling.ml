@@ -125,9 +125,6 @@ let run_flat ?max_cycles ?engine ?(policy = default_policy) cfg trace =
     est_cycles = int_of_float (Float.round (float_of_int n *. mean_cpi));
     machine = Machine.state_result st }
 
-let run ?max_cycles ?engine ?policy cfg trace =
-  run_flat ?max_cycles ?engine ?policy cfg (Flat_trace.of_dynamic_array trace)
-
 let estimate r =
   { r.machine with
     Machine.cycles = r.est_cycles;

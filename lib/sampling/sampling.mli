@@ -5,7 +5,7 @@
     Instead of running the detailed machine model over every committed
     instruction, the trace is covered by an alternation of {e functional
     warming} (caches and branch predictor advance, no pipeline —
-    {!Mcsim_cluster.Machine.warm}) and evenly spaced {e detailed
+    {!Mcsim_cluster.Machine.warm_flat}) and evenly spaced {e detailed
     intervals}. Each detailed interval simulates [warmup + detail]
     instructions on the full model; the warmup prefix re-establishes
     pipeline and in-flight-miss state and its cycles are discarded, and
@@ -96,15 +96,6 @@ val run_flat :
     @raise Invalid_argument if the policy is invalid or the trace is too
     short for two complete units (no meaningful confidence interval).
     @raise Failure as {!Mcsim_cluster.Machine.run} on [max_cycles]. *)
-
-val run :
-  ?max_cycles:int ->
-  ?engine:Mcsim_cluster.Machine.engine ->
-  ?policy:policy ->
-  Mcsim_cluster.Machine.config ->
-  Mcsim_isa.Instr.dynamic array ->
-  t
-(** {!run_flat} over [Flat_trace.of_dynamic_array trace]. *)
 
 val estimate : t -> Mcsim_cluster.Machine.result
 (** The sampled stand-in for a full {!Mcsim_cluster.Machine.run} result:

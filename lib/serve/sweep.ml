@@ -60,10 +60,8 @@ let flat_trace ?trace_cache ?clusters ~scheduler ~seed ~max_instrs bench =
   | None -> walk ()
   | Some dir ->
     let key =
-      { Mcsim.Trace_store.benchmark = Spec92.name bench;
-        scheduler = Mcsim.Experiment.scheduler_ident_n ~clusters scheduler;
-        seed;
-        max_instrs }
+      Mcsim.Experiment.trace_key ~clusters ~seed ~max_instrs ~benchmark:(Spec92.name bench)
+        scheduler
     in
     fst (Mcsim.Trace_store.load_or_build (Mcsim.Trace_store.open_ ~dir) key walk)
 

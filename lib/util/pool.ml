@@ -118,19 +118,15 @@ let map_core (type a b) ~retries ~backoff ~inject_fault ~stop_on_failure ~jobs (
           | Some (Done _) | None -> assert false))
   end
 
+(* Re-raise the lowest-index exhausted failure, as if the map had run
+   serially up to it. *)
+let values statuses =
+  List.map
+    (function Done y -> y | Failed f -> Printexc.raise_with_backtrace f.exn f.backtrace)
+    statuses
+
 let parallel_map ?(retries = 0) ?(backoff = default_backoff) ?inject_fault ~jobs f xs =
-  let statuses =
-    map_core ~retries ~backoff ~inject_fault ~stop_on_failure:true ~jobs f xs
-  in
-  (* Re-raise the lowest-index exhausted failure, as if the map had run
-     serially up to it. *)
-  let first_failure =
-    List.find_map (function Failed f -> Some f | Done _ -> None) statuses
-  in
-  match first_failure with
-  | Some f -> Printexc.raise_with_backtrace f.exn f.backtrace
-  | None ->
-    List.map (function Done y -> y | Failed _ -> assert false) statuses
+  values (map_core ~retries ~backoff ~inject_fault ~stop_on_failure:true ~jobs f xs)
 
 let parallel_map_status ?(retries = 0) ?(backoff = default_backoff) ?inject_fault ~jobs f xs
     =

@@ -39,6 +39,10 @@ type 'a status = Done of 'a | Failed of failure
 (** Per-job outcome of {!parallel_map_status}: the job's result, or the
     failure that survived every retry. *)
 
+val values : 'a status list -> 'a list
+(** The [Done] values, in order; the first [Failed] status's exception
+    is re-raised with its backtrace instead. *)
+
 val failure_message : failure -> string
 (** One-line human-readable rendering:
     ["failed after N attempt(s): <exn>"]. *)

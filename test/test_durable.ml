@@ -246,6 +246,83 @@ let checkpoint_stale_refused () =
   | _ -> Alcotest.fail "stale sweep parameters accepted"
   | exception Failure msg -> check Alcotest.bool "one-line error" true (one_line msg)
 
+(* ---------------------------- executor ----------------------------- *)
+
+let int_lookup st xs =
+  Mcsim.Checkpoint.lookup st ~key:string_of_int
+    ~encode:(fun y -> [ ("y", Json.Int y) ])
+    ~decode:(fun _ d -> Option.bind (Json.member "y" d) Json.get_int)
+    xs
+
+let int_map ?inject_fault st f xs =
+  Pool.values
+    (Mcsim.Checkpoint.fill ~backoff:Pool.no_backoff ?inject_fault ~jobs:2 f (int_lookup st xs))
+
+let with_store f =
+  with_dir @@ fun dir ->
+  f (Some (Mcsim.Checkpoint.open_ ~dir ~kind:"test" ~manifest:(manifest ()) ()))
+
+let executor_order () =
+  with_store @@ fun st ->
+  (* Odd units hold values the second pass would never compute, so a
+     hit is told apart from a recomputation. *)
+  ignore (int_map st (fun x -> -x) [ 1; 3; 5 ]);
+  let ran = Atomic.make 0 in
+  let out =
+    int_map st
+      (fun x ->
+        Atomic.incr ran;
+        x * 10)
+      [ 0; 1; 2; 3; 4; 5; 6 ]
+  in
+  check (Alcotest.list Alcotest.int) "hits keep their slots" [ 0; -1; 20; -3; 40; -5; 60 ] out;
+  check Alcotest.int "only the misses ran" 4 (Atomic.get ran)
+
+let executor_fault_indices () =
+  with_store @@ fun st ->
+  ignore (int_map st succ [ 10; 30 ]);
+  let seen = ref [] in
+  let statuses =
+    Mcsim.Checkpoint.fill ~jobs:1
+      ~inject_fault:(fun ~job ~attempt:_ ->
+        seen := job :: !seen;
+        job = 1)
+      succ
+      (int_lookup st [ 10; 20; 30; 40 ])
+  in
+  check (Alcotest.list Alcotest.int) "the hook sees miss indices only" [ 0; 1 ]
+    (List.rev !seen);
+  match statuses with
+  | [ Pool.Done 11; Pool.Done 21; Pool.Done 31; Pool.Failed _ ] -> ()
+  | _ -> Alcotest.fail "expected miss 1 (unit 40) to fail and the rest to be Done"
+
+let executor_cached_skips_hook () =
+  with_store @@ fun st ->
+  let fresh = int_map st succ [ 1; 2; 3 ] in
+  let cached =
+    int_map st
+      ~inject_fault:(fun ~job:_ ~attempt:_ -> Alcotest.fail "hook consulted for a hit")
+      (fun _ -> Alcotest.fail "a hit was recomputed")
+      [ 1; 2; 3 ]
+  in
+  check (Alcotest.list Alcotest.int) "cached values" fresh cached
+
+let executor_exhausted_unrecorded () =
+  with_dir @@ fun dir ->
+  let st = Mcsim.Checkpoint.open_ ~dir ~kind:"test" ~manifest:(manifest ()) () in
+  (match
+     Mcsim.Checkpoint.map ~retries:2 ~backoff:Pool.no_backoff
+       ~inject_fault:(fun ~job ~attempt:_ -> job = 1)
+       ~jobs:2 (Some st) ~key:string_of_int
+       ~encode:(fun y -> [ ("y", Json.Int y) ])
+       ~decode:(fun _ d -> Option.bind (Json.member "y" d) Json.get_int)
+       succ [ 1; 2; 3 ]
+   with
+  | _ -> Alcotest.fail "expected the exhausted unit's fault to surface"
+  | exception Pool.Injected_fault { job = 1; attempt = 2 } -> ());
+  check (Alcotest.list Alcotest.string) "the other units are recorded, the failed one is not"
+    [ "1"; "3" ] (Mcsim.Checkpoint.keys st)
+
 (* ------------------------ sweep resume ----------------------------- *)
 
 let benches = [ Spec92.Compress; Spec92.Ora ]
@@ -396,6 +473,99 @@ let reassign_checkpoint () =
     fresh.Mcsim.Reassign.phased_result.Machine.cycles
     cached.Mcsim.Reassign.phased_result.Machine.cycles
 
+let steer_checkpoint () =
+  with_dir @@ fun dir ->
+  let run ?inject_fault () =
+    Mcsim.Steer.run ~jobs:2 ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ]
+      ~checkpoint:dir ?inject_fault ()
+  in
+  let fresh = run () in
+  check Alcotest.int "one unit per matrix cell"
+    (List.length Mcsim.Steer.matrix_points)
+    (unit_files dir);
+  (* Every cell is recorded, so neither the profiling pass nor any cell
+     runs: an always-firing injector cannot touch the rows. *)
+  let cached = run ~inject_fault:(fun ~job:_ ~attempt:_ -> true) () in
+  check Alcotest.bool "cached rows equal fresh rows" true (fresh = cached)
+
+(* The sweep.json identity (kind, manifest minus its timestamp, sweep
+   parameters) and sorted unit keys of a tiny run of every driver, as
+   the drivers wrote them before they shared one executor. A change
+   here orphans every existing checkpoint directory. *)
+let sweep_identity dir =
+  let j = Option.get (Mcsim.Checkpoint.read_json (Filename.concat dir "sweep.json")) in
+  let field k = Option.get (Json.member k j) in
+  Json.Obj
+    [ ("kind", field "kind");
+      ("manifest", Mcsim_obs.Manifest.strip_created (field "manifest"));
+      ("data", field "data") ]
+  |> Json.to_string ~minify:true |> Digest.string |> Digest.to_hex
+
+let unit_keys dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.length f > 5 && String.sub f 0 5 = "unit-")
+  |> List.filter_map (fun f ->
+         Option.bind (Mcsim.Checkpoint.read_json (Filename.concat dir f)) (fun j ->
+             Option.bind (Json.path [ "data"; "unit_key" ] j) Json.get_string))
+  |> List.sort String.compare
+
+let steer_keys =
+  List.concat_map
+    (fun sched ->
+      List.concat_map
+        (fun n ->
+          List.map
+            (Printf.sprintf "compress/%s/%d/%s" sched n)
+            [ "dependence"; "ineffectual"; "load"; "modulo"; "static" ])
+        [ 2; 4; 8 ])
+    [ "local"; "none" ]
+
+let pinned_sweeps =
+  [ ( "steer",
+      (fun dir ->
+        ignore
+          (Mcsim.Steer.run ~jobs:1 ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ]
+             ~checkpoint:dir ())),
+      "849e7594631c1f6974beb31ab5a27e51",
+      steer_keys );
+    ( "clusters",
+      (fun dir ->
+        ignore
+          (Mcsim.Cluster_count.run ~jobs:1 ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ]
+             ~checkpoint:dir ())),
+      "8676798b3992b4b3b41ff27b25e6e360",
+      [ "compress/1/p2p"; "compress/2/p2p"; "compress/2/ring"; "compress/2/xbar";
+        "compress/4/p2p"; "compress/4/ring"; "compress/4/xbar"; "compress/8/p2p";
+        "compress/8/ring"; "compress/8/xbar" ] );
+    ( "ablation",
+      (fun dir ->
+        ignore
+          (Mcsim.Ablation.transfer_buffers ~jobs:1 ~max_instrs:2_000 ~sizes:[ 2; 8 ]
+             ~checkpoint:dir Spec92.Compress)),
+      "4ab6d66c996be35e127ad9c3a72d2ffe",
+      [ "2 entries"; "8 entries" ] );
+    ( "reassign",
+      (fun dir -> ignore (Mcsim.Reassign.run ~jobs:1 ~phase_iterations:500 ~checkpoint:dir ())),
+      "701e9686439243981b658f86d7e9dd07",
+      [ "phased"; "static" ] );
+    ( "experiment",
+      (fun dir ->
+        ignore
+          (Mcsim.Table2.run ~jobs:1 ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ]
+             ~checkpoint:dir ())),
+      "adcbc0e235120cb43bf3256282ebd022",
+      [ "compress/meta"; "compress/sched/local"; "compress/sched/none"; "compress/single" ] )
+  ]
+
+let checkpoint_identities_pinned () =
+  List.iter
+    (fun (what, run, identity, keys) ->
+      with_dir @@ fun dir ->
+      run dir;
+      check Alcotest.string (what ^ ": sweep.json identity") identity (sweep_identity dir);
+      check (Alcotest.list Alcotest.string) (what ^ ": unit keys") keys (unit_keys dir))
+    pinned_sweeps
+
 let suite =
   ( "durable",
     [ case "backoff: deterministic doubling with a cap" backoff_shape;
@@ -410,6 +580,10 @@ let suite =
       case "checkpoint: rewrite wins" checkpoint_overwrite;
       case "checkpoint: corrupt unit reads as missing" checkpoint_corrupt_unit;
       case "checkpoint: stale kind/manifest/params refused" checkpoint_stale_refused;
+      case "executor: order preserved across hits and misses" executor_order;
+      case "executor: fault job indices count only misses" executor_fault_indices;
+      case "executor: a fully cached list never consults the hook" executor_cached_skips_hook;
+      case "executor: an exhausted unit is not recorded" executor_exhausted_unrecorded;
       case "table2: interrupted + resume equals straight run" table2_resume_identical;
       case "table2: complete checkpoint never recomputes"
         table2_complete_checkpoint_never_recomputes;
@@ -418,4 +592,6 @@ let suite =
       QCheck_alcotest.to_alcotest resume_prefix_property;
       case "ablation: checkpoint reload and stale refusal" ablation_checkpoint;
       case "cluster_count: checkpoint reload" cluster_count_checkpoint;
-      case "reassign: checkpoint reload" reassign_checkpoint ] )
+      case "reassign: checkpoint reload" reassign_checkpoint;
+      case "steer: checkpoint reload" steer_checkpoint;
+      case "checkpoint identities and unit keys are pinned" checkpoint_identities_pinned ] )

@@ -183,10 +183,10 @@ let equiv_sampled () =
   let prog = Spec92.program Spec92.Compress in
   let profile = Walker.profile prog in
   let c = Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog in
-  let trace = Walker.trace ~max_instrs:60_000 c.Pipeline.mach in
+  let trace = Walker.trace_flat ~max_instrs:60_000 c.Pipeline.mach in
   let policy = { Sampling.interval = 10_000; warmup = 1_000; detail = 1_000; seed = 3 } in
-  let scan = Sampling.run ~engine:`Scan ~policy (Machine.dual_cluster ()) trace in
-  let wake = Sampling.run ~engine:`Wakeup ~policy (Machine.dual_cluster ()) trace in
+  let scan = Sampling.run_flat ~engine:`Scan ~policy (Machine.dual_cluster ()) trace in
+  let wake = Sampling.run_flat ~engine:`Wakeup ~policy (Machine.dual_cluster ()) trace in
   check (Alcotest.float 0.0) "mean ipc" scan.Sampling.mean_ipc wake.Sampling.mean_ipc;
   check Alcotest.int "est cycles" scan.Sampling.est_cycles wake.Sampling.est_cycles;
   if scan.Sampling.machine <> wake.Sampling.machine then

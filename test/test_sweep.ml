@@ -323,6 +323,29 @@ let executor_tiers () =
   let _, c4 = Sweep.execute ~checkpoint:ck ~retries:0 ~decode:picky s in
   check Alcotest.bool "a rejected record is recomputed" false c4
 
+(* Table 2's trace cache and a served run's trace share one key: a
+   trace Table2 saved is a hit for Sweep.flat_trace, which writes
+   nothing new. *)
+let trace_cache_shared () =
+  let tc = tmp_dir "mcsim-sweep-tc" in
+  Fun.protect ~finally:(fun () -> rm_rf tc) @@ fun () ->
+  let b = bench "compress" and seed = 2 and max_instrs = 3000 in
+  ignore (Mcsim.Table2.run ~jobs:1 ~max_instrs ~seed ~benchmarks:[ b ] ~trace_cache:tc ());
+  let traces () =
+    Sys.readdir tc |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mctrace")
+    |> List.sort String.compare
+  in
+  let saved = traces () in
+  check Alcotest.int "table2 saved the native and local traces" 2 (List.length saved);
+  let flat ?trace_cache () =
+    Mcsim_isa.Flat_trace.to_dynamic_array
+      (Sweep.flat_trace ?trace_cache ~scheduler:Pipeline.default_local ~seed ~max_instrs b)
+  in
+  let cached = flat ~trace_cache:tc () in
+  check Alcotest.(list string) "no new .mctrace file" saved (traces ());
+  check Alcotest.bool "the cached trace is the walked one" true (cached = flat ())
+
 let suite =
   ( "sweep",
     [ case "scheduler names parse back to their family" scheduler_names_parse_back;
@@ -330,4 +353,5 @@ let suite =
       case "command.json round-trips through its text form" command_records_round_trip;
       case "command.json junk fails one-line" command_records_reject_junk;
       case "unit cache identities are pinned" cache_identity_pinned;
-      case "executor: checkpoint, result cache, compute" executor_tiers ] )
+      case "executor: checkpoint, result cache, compute" executor_tiers;
+      case "table2 and run share one trace-cache key" trace_cache_shared ] )
