@@ -506,125 +506,83 @@ let workloads_cmd =
   Cmd.v (Cmd.info "workloads" ~doc:"Describe the six SPEC92-like synthetic benchmarks.")
     Term.(const run $ const ())
 
-(* `mcsim trace-store DIR`: inspect a --trace-cache directory. Each
-   entry is validated (header + payload digest), so a corrupt file shows
-   up here as invalid — the simulator itself would silently regenerate
+(* `mcsim trace-store DIR` and `mcsim result-store DIR`: check the
+   directory, prune on request, then list every entry, validated, with
+   the totals. A corrupt entry lists as INVALID — the store itself
+   treats it as a miss. [columns] are (header, alignment, cell);
+   [totals] renders the counts that lead the totals line. *)
+let store_cmd name ~doc ~dir_doc ~what ~nothing ~open_ ~prune ~entries ~columns ~bytes
+    ~valid ~totals ~invalid_note =
+  let dir_pos = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:dir_doc) in
+  let keep_arg =
+    Arg.(value & opt (some (nonneg_int ~what:"N")) None
+         & info [ "prune-keep-latest" ] ~docv:"N"
+             ~doc:"Before listing, delete all but the $(docv) most recently used entries \
+                   — the knob that bounds on-disk cache growth.")
+  in
+  let run dir keep =
+    wrap @@ fun () ->
+    if not (Sys.file_exists dir) then
+      failwith (Printf.sprintf "%s %s: no such directory" what dir);
+    let store = open_ ~dir in
+    Option.iter (fun n -> List.iter (Printf.printf "pruned %s\n") (prune store n)) keep;
+    match entries store with
+    | [] -> Printf.printf "%s: no cached %s\n" dir nothing
+    | es ->
+      print_string
+        (Mcsim_util.Text_table.render
+           ~aligns:(Array.of_list (List.map (fun (_, a, _) -> a) columns))
+           (List.map (fun (h, _, _) -> h) columns
+           :: List.map (fun e -> List.map (fun (_, _, cell) -> cell e) columns) es));
+      let invalid = List.length (List.filter (fun e -> not (valid e)) es) in
+      Printf.printf "%s, %d bytes%s\n" (totals es)
+        (List.fold_left (fun a e -> a + bytes e) 0 es)
+        (if invalid = 0 then "" else Printf.sprintf " (%d invalid — %s)" invalid invalid_note)
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ dir_pos $ keep_arg)
+
+let count n noun = Printf.sprintf "%d %s%s" n noun (if n = 1 then "" else "s")
+let status ok = if ok then "ok" else "INVALID"
+
+(* Each trace is validated (header + payload digest), so a corrupt file
+   shows up as invalid — the simulator itself would silently regenerate
    it. *)
-let prune_keep_latest_arg =
-  Arg.(value & opt (some (nonneg_int ~what:"N")) None
-       & info [ "prune-keep-latest" ] ~docv:"N"
-           ~doc:"Before listing, delete all but the $(docv) most recently used entries \
-                 — the knob that bounds on-disk cache growth.")
-
 let trace_store_cmd =
-  let dir_pos =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"DIR"
-             ~doc:"Trace-store directory (as passed to --trace-cache).")
-  in
-  let run dir prune =
-    wrap @@ fun () ->
-    if not (Sys.file_exists dir) then
-      failwith (Printf.sprintf "trace store %s: no such directory" dir);
-    let store = Mcsim.Trace_store.open_ ~dir in
-    (match prune with
-    | None -> ()
-    | Some n ->
-      let removed = Mcsim.Trace_store.prune_keep_latest store n in
-      List.iter (Printf.printf "pruned %s\n") removed);
-    let entries = Mcsim.Trace_store.entries store in
-    if entries = [] then Printf.printf "%s: no cached traces\n" dir
-    else begin
-      let rows =
-        List.map
-          (fun e ->
-            [ e.Mcsim.Trace_store.e_file;
-              (if e.Mcsim.Trace_store.e_valid then
-                 string_of_int e.Mcsim.Trace_store.e_instrs
-               else "-");
-              string_of_int e.Mcsim.Trace_store.e_bytes;
-              (if e.Mcsim.Trace_store.e_valid then "ok" else "INVALID") ])
-          entries
-      in
-      print_string
-        (Mcsim_util.Text_table.render
-           ~aligns:[| Mcsim_util.Text_table.Left; Right; Right; Left |]
-           ([ "file"; "instrs"; "bytes"; "status" ] :: rows));
-      let total_instrs =
-        List.fold_left (fun a e -> a + e.Mcsim.Trace_store.e_instrs) 0 entries
-      in
-      let total_bytes =
-        List.fold_left (fun a e -> a + e.Mcsim.Trace_store.e_bytes) 0 entries
-      in
-      let invalid =
-        List.length (List.filter (fun e -> not e.Mcsim.Trace_store.e_valid) entries)
-      in
-      Printf.printf "%d trace%s, %d instructions, %d bytes%s\n" (List.length entries)
-        (if List.length entries = 1 then "" else "s")
-        total_instrs total_bytes
-        (if invalid = 0 then ""
-         else Printf.sprintf " (%d invalid — will be regenerated on use)" invalid)
-    end
-  in
-  Cmd.v
-    (Cmd.info "trace-store"
-       ~doc:"List and validate the cached binary traces in a --trace-cache directory.")
-    Term.(const run $ dir_pos $ prune_keep_latest_arg)
+  let module T = Mcsim.Trace_store in
+  store_cmd "trace-store"
+    ~doc:"List and validate the cached binary traces in a --trace-cache directory."
+    ~dir_doc:"Trace-store directory (as passed to --trace-cache)." ~what:"trace store"
+    ~nothing:"traces" ~open_:T.open_ ~prune:T.prune_keep_latest ~entries:T.entries
+    ~columns:
+      Mcsim_util.Text_table.
+        [ ("file", Left, fun e -> e.T.e_file);
+          ("instrs", Right, fun e -> if e.T.e_valid then string_of_int e.T.e_instrs else "-");
+          ("bytes", Right, fun e -> string_of_int e.T.e_bytes);
+          ("status", Left, fun e -> status e.T.e_valid) ]
+    ~bytes:(fun e -> e.T.e_bytes) ~valid:(fun e -> e.T.e_valid)
+    ~totals:(fun es ->
+      Printf.sprintf "%s, %d instructions" (count (List.length es) "trace")
+        (List.fold_left (fun a e -> a + e.T.e_instrs) 0 es))
+    ~invalid_note:"will be regenerated on use"
 
-(* `mcsim result-store DIR`: inspect a --result-cache / serve-daemon
-   result-store directory. Entries that do not decode as unit snapshots
-   list as INVALID — the cache itself treats them as misses. *)
 let result_store_cmd =
-  let dir_pos =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"DIR"
-             ~doc:"Result-store directory (as passed to --result-cache or mcsim serve).")
-  in
-  let run dir prune =
-    wrap @@ fun () ->
-    if not (Sys.file_exists dir) then
-      failwith (Printf.sprintf "result store %s: no such directory" dir);
-    let store = Mcsim.Result_store.open_ ~dir in
-    (match prune with
-    | None -> ()
-    | Some n ->
-      let removed = Mcsim.Result_store.prune_keep_latest store n in
-      List.iter (Printf.printf "pruned %s\n") removed);
-    let entries = Mcsim.Result_store.entries store in
-    if entries = [] then Printf.printf "%s: no cached results\n" dir
-    else begin
-      let rows =
-        List.map
-          (fun e ->
-            [ e.Mcsim.Result_store.e_file;
-              e.Mcsim.Result_store.e_digest;
-              e.Mcsim.Result_store.e_kind;
-              e.Mcsim.Result_store.e_benchmark;
-              string_of_int e.Mcsim.Result_store.e_bytes;
-              (if e.Mcsim.Result_store.e_valid then "ok" else "INVALID") ])
-          entries
-      in
-      print_string
-        (Mcsim_util.Text_table.render
-           ~aligns:[| Mcsim_util.Text_table.Left; Left; Left; Left; Right; Left |]
-           ([ "file"; "digest"; "kind"; "benchmark"; "bytes"; "status" ] :: rows));
-      let total_bytes =
-        List.fold_left (fun a e -> a + e.Mcsim.Result_store.e_bytes) 0 entries
-      in
-      let invalid =
-        List.length (List.filter (fun e -> not e.Mcsim.Result_store.e_valid) entries)
-      in
-      Printf.printf "%d result%s, %d bytes%s\n" (List.length entries)
-        (if List.length entries = 1 then "" else "s")
-        total_bytes
-        (if invalid = 0 then ""
-         else Printf.sprintf " (%d invalid — treated as misses)" invalid)
-    end
-  in
-  Cmd.v
-    (Cmd.info "result-store"
-       ~doc:"List and validate the cached unit results in a --result-cache directory.")
-    Term.(const run $ dir_pos $ prune_keep_latest_arg)
+  let module R = Mcsim.Result_store in
+  store_cmd "result-store"
+    ~doc:"List and validate the cached unit results in a --result-cache directory."
+    ~dir_doc:"Result-store directory (as passed to --result-cache or mcsim serve)."
+    ~what:"result store" ~nothing:"results" ~open_:R.open_ ~prune:R.prune_keep_latest
+    ~entries:R.entries
+    ~columns:
+      Mcsim_util.Text_table.
+        [ ("file", Left, fun e -> e.R.e_file);
+          ("digest", Left, fun e -> e.R.e_digest);
+          ("kind", Left, fun e -> e.R.e_kind);
+          ("benchmark", Left, fun e -> e.R.e_benchmark);
+          ("bytes", Right, fun e -> string_of_int e.R.e_bytes);
+          ("status", Left, fun e -> status e.R.e_valid) ]
+    ~bytes:(fun e -> e.R.e_bytes) ~valid:(fun e -> e.R.e_valid)
+    ~totals:(fun es -> count (List.length es) "result")
+    ~invalid_note:"treated as misses"
 
 let trace_cmd =
   let out_arg =

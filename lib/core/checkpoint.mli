@@ -1,12 +1,11 @@
-(** Durable per-unit result store for long sweeps.
+(** Resumable sweeps, and the unit executor every sweep runs through.
 
-    A checkpoint is a directory holding one small JSON file per
-    completed sweep unit (a Table-2 benchmark stage, an ablation point,
-    a cluster-count cell, ...), each in the {!Mcsim_obs.Metrics}
-    snapshot schema, plus a [sweep.json] identity record. An
-    interrupted sweep re-opened on the same directory skips every
-    recorded unit and recomputes only the missing ones, so resuming
-    produces output identical to an uninterrupted run.
+    A checkpoint is a {!Result_store} namespace — one small JSON unit
+    file per completed sweep unit (a Table-2 benchmark stage, an
+    ablation point, a cluster-count cell, ...) — plus a [sweep.json]
+    identity record. An interrupted sweep re-opened on the same
+    directory skips every recorded unit and recomputes only the missing
+    ones, so resuming produces output identical to an uninterrupted run.
 
     Safety comes from the identity record: it pins the sweep [kind],
     the full {!Mcsim_obs.Manifest} (machine config digest, seed,
@@ -15,13 +14,14 @@
     directory whose identity disagrees raises a one-line [Failure]
     ("checkpoint ... was written by a different sweep"), which the CLI
     surfaces as [mcsim: error: ...] — a stale checkpoint is refused,
-    never silently reused.
+    never silently reused. Every unit file carries the manifest too,
+    and a read verifies it, so a unit file copied in from another
+    sweep's checkpoint is a miss.
 
-    Unit writes are atomic (write to a temp file in the same directory,
-    then rename), so a unit file is either complete and valid or absent;
-    a torn write from a killed process decodes as corrupt and is
-    recomputed and overwritten on resume. A [t] is safe to share across
-    domains: lookups and writes are serialized by an internal mutex. *)
+    Unit writes are atomic, so a unit file is either complete and valid
+    or absent; a torn write from a killed process decodes as corrupt and
+    is recomputed and overwritten on resume. A [t] is safe to share
+    across domains. *)
 
 type t
 
@@ -42,57 +42,62 @@ val open_ :
     identity, or when [dir/sweep.json] is unreadable or corrupt. *)
 
 val find : t -> string -> Mcsim_obs.Json.t option
-(** [find t key] is the [data] object recorded for unit [key], or
-    [None] when the unit is unrecorded (or its file is corrupt — a
-    corrupt unit is treated as missing and will be overwritten by the
-    next {!record}). *)
+(** [find t key] is the [data] object recorded for unit [key] of this
+    sweep, or [None] when the unit is unrecorded, its file is corrupt or
+    it was written under another manifest (such a unit is treated as
+    missing and will be overwritten by the next {!record}). *)
 
 val record : t -> key:string -> (string * Mcsim_obs.Json.t) list -> unit
-(** [record t ~key fields] durably stores unit [key]'s results. The
-    unit file is a [Metrics]-schema snapshot ([kind = "unit"], the
-    sweep's manifest, and [data] holding ["unit_key"] plus [fields]).
-    Re-recording a key overwrites its file. *)
+(** [record t ~key fields] durably stores unit [key]'s results under
+    the sweep's manifest ({!Result_store.record}). Re-recording a key
+    overwrites its file. *)
 
 val keys : t -> string list
 (** The keys of every decodable recorded unit, sorted. *)
 
-val dir : t -> string
-(** The directory this checkpoint lives in. *)
-
-val unit_basename : string -> string
-(** The file basename a unit [key] is stored under
-    ([unit-<sanitized>-<digest8>.json]) — exported so {!Result_store}
-    can read checkpoint-format entries and old checkpoint directories
-    double as result caches. *)
+val store : t -> Result_store.t
+(** The checkpoint's unit files, as a store for {!lookup}. Its units'
+    identity is the manifest [t] was opened with and their key. *)
 
 (** {2 The unit executor}
 
-    Every sweep driver runs its units through here: {!lookup} decodes
-    each unit's recorded entry serially, before any fan-out, and
+    Every sweep — the drivers, the batch [run]/[sample] path, Table 2's
+    result cache and the [mcsim serve] daemon — reads, computes and
+    records its units through here: {!lookup} decodes each unit's entry
+    from an ordered list of stores serially, before any fan-out, and
     {!fill} computes only the misses on the domain pool, recording each
-    as it completes. A sweep without a checkpoint passes [None] and
-    every unit is a miss. Because hits never reach the pool, [retries]
-    and [inject_fault] see only the units that actually run: fault job
+    to every store as it completes. A sweep without stores runs every
+    unit. Because hits never reach the pool, [retries] and
+    [inject_fault] see only the units that actually run: fault job
     indices count misses, in input order. *)
 
 type ('a, 'b) lookup = {
-  store : t option;
-  key : 'a -> string;  (** the unit's checkpoint key *)
-  encode : 'b -> (string * Mcsim_obs.Json.t) list;  (** the fields {!record}ed *)
+  stores : Result_store.t list;  (** read in order; every fresh unit is recorded to all *)
+  unit : 'a -> Mcsim_obs.Manifest.t * string;  (** the unit's store identity *)
+  encode : 'b -> (string * Mcsim_obs.Json.t) list;  (** the fields recorded *)
   cached : ('a * 'b option) list;
       (** every unit in input order with its decoded entry; [None] is a
           miss. A caller may filter or force-miss units before {!fill}. *)
 }
 
 val lookup :
-  t option ->
-  key:('a -> string) ->
+  Result_store.t list ->
+  unit:('a -> Mcsim_obs.Manifest.t * string) ->
   encode:('b -> (string * Mcsim_obs.Json.t) list) ->
   decode:('a -> Mcsim_obs.Json.t -> 'b option) ->
   'a list ->
   ('a, 'b) lookup
-(** Decode every unit's entry with [decode] (applied to the unit and
-    its {!find} result); an undecodable entry is a miss. *)
+(** Each unit's entry from the first store that has one [decode]
+    accepts (applied to the unit and the store's {!Result_store.find}
+    result); a unit no store decodes is a miss. A hit in a later store
+    is not copied into the earlier ones. *)
+
+val stores :
+  t option -> key:('a -> string) -> Result_store.t list * ('a -> Mcsim_obs.Manifest.t * string)
+(** A driver's optional checkpoint as {!lookup}'s stores and unit
+    identity: the units of a checkpointed sweep share its manifest and
+    are told apart by [key]. Without a checkpoint there is no store, so
+    no identity is ever asked for. *)
 
 val fill :
   ?retries:int ->
@@ -103,9 +108,16 @@ val fill :
   ('a, 'b) lookup ->
   'b Mcsim_util.Pool.status list
 (** Run [f] on the misses through {!Mcsim_util.Pool.parallel_map_status},
-    recording each completed unit, and return one status per unit of
-    [cached], in order (hits as [Done]). A unit that exhausts its
-    retries is [Failed] and stays unrecorded. *)
+    recording each completed unit to every store, and return one status
+    per unit of [cached], in order (hits as [Done]). A unit that
+    exhausts its retries is [Failed] and stays unrecorded. *)
+
+val fill_with :
+  ('a list -> 'b Mcsim_util.Pool.status list) -> ('a, 'b) lookup -> 'b Mcsim_util.Pool.status list
+(** {!fill} for misses that share a fan-out of their own (Table 2 runs
+    its missing rows through one {!Experiment} sweep): [run] gets every
+    miss, in order, and returns one status each; it is not called when
+    nothing misses. Every [Done] is then recorded to every store. *)
 
 val map :
   ?retries:int ->
@@ -119,9 +131,9 @@ val map :
   ('a -> 'b) ->
   'a list ->
   'b list
-(** {!lookup} then {!fill}, re-raising the first failed unit's
-    exception (with its backtrace) once every unit has run; the units
-    that completed are recorded either way. *)
+(** {!lookup} then {!fill} in a checkpoint, re-raising the first failed
+    unit's exception (with its backtrace) once every unit has run; the
+    units that completed are recorded either way. *)
 
 val map_matrix :
   ?retries:int ->
@@ -151,26 +163,7 @@ val result_fields : Mcsim_cluster.Machine.result -> (string * Mcsim_obs.Json.t) 
 val result_of_fields : Mcsim_obs.Json.t -> Mcsim_cluster.Machine.result option
 (** Inverse of {!result_fields}, for {!lookup}'s [decode]. *)
 
-(** {2 File primitives shared by the stores} *)
-
-val mkdir_p : string -> unit
-(** Create a directory and its missing parents; an existing directory
-    (or a concurrent creator) is fine. *)
-
-val read_json : string -> Mcsim_obs.Json.t option
-(** The file's JSON, or [None] when it is missing, unreadable or not
-    JSON. *)
-
-val write_json_atomic : string -> Mcsim_obs.Json.t -> unit
-(** Write to a temp file in the same directory, then rename, so the
-    file is never observed torn. *)
-
-val unit_snapshot :
-  manifest:Mcsim_obs.Manifest.t -> key:string -> (string * Mcsim_obs.Json.t) list ->
-  Mcsim_obs.Json.t
-(** The unit file every store writes: a [Metrics]-schema snapshot with
-    [kind = "unit"], [manifest], and [data] holding ["unit_key"] then
-    the fields. *)
+(** {2 The CLI command record} *)
 
 val write_command : dir:string -> (string * Mcsim_obs.Json.t) list -> unit
 (** Write [dir/command.json] — the CLI invocation that started the

@@ -218,12 +218,12 @@ let comparison_of ~benchmark ~trace_instrs = function
 (* The fan-out core                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Like run_many, but durable: failure degrades to a per-benchmark
-   [Error] instead of aborting the sweep, and with [checkpoint] every
-   completed unit is stored and never recomputed. *)
-let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_config
-    ~dual_config ~retries ~backoff ~inject_fault ~checkpoint ~trace_cache progs :
-    (comparison, Pool.failure) result list =
+(* Durable fan-out: failure degrades to a per-benchmark [Failed]
+   instead of aborting the sweep, and with [checkpoint] every completed
+   unit is stored and never recomputed. *)
+let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(seed = 1)
+    ?(schedulers = default_schedulers) ?engine ?sampling ?single_config ?dual_config
+    ?(retries = 0) ?backoff ?inject_fault ?checkpoint ?trace_cache progs =
   let single_config =
     match single_config with Some c -> c | None -> Machine.single_cluster ()
   in
@@ -231,7 +231,7 @@ let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_
   (* Binaries are scheduled for the partitioned machine they run on. *)
   let clusters = Mcsim_cluster.Assignment.num_clusters dual_config.Machine.assignment in
   let trace_store = Option.map (fun dir -> Trace_store.open_ ~dir) trace_cache in
-  let store =
+  let ck =
     Option.map
       (fun dir ->
         open_store ~dir ~seed ~max_instrs ~engine ~sampling ~schedulers ~single_config
@@ -240,7 +240,8 @@ let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_
   in
   let names = Array.of_list (List.map (fun p -> p.Mcsim_ir.Program.name) progs) in
   let sims =
-    Checkpoint.lookup store ~key:(sim_key names) ~encode:out_fields ~decode:out_of_fields
+    let stores, unit = Checkpoint.stores ck ~key:(sim_key names) in
+    Checkpoint.lookup stores ~unit ~encode:out_fields ~decode:out_of_fields
       (List.concat
          (List.mapi
             (fun i _ -> Sim_single i :: List.map (fun s -> Sim_sched (i, s)) schedulers)
@@ -254,8 +255,8 @@ let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_
      unit's value is the committed trace length plus, when it ran, the
      prep itself. *)
   let metas =
-    Checkpoint.lookup store
-      ~key:(fun (i, _) -> key_meta names.(i))
+    let stores, unit = Checkpoint.stores ck ~key:(fun (i, _) -> key_meta names.(i)) in
+    Checkpoint.lookup stores ~unit
       ~encode:(fun (n, _) -> [ ("trace_instrs", Json.Int n) ])
       ~decode:(fun _ d ->
         let* n = Option.bind (Json.member "trace_instrs" d) Json.get_int in
@@ -297,7 +298,7 @@ let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_
   List.mapi
     (fun i benchmark ->
       match preps.(i) with
-      | Pool.Failed f -> Error f
+      | Pool.Failed f -> Pool.Failed f
       | Pool.Done (trace_instrs, _) -> (
         let statuses =
           List.filter_map (fun (spec, st) -> if sim_bench spec = i then Some st else None) outs
@@ -305,29 +306,17 @@ let run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_
         match
           List.find_map (function Pool.Failed f -> Some f | Pool.Done _ -> None) statuses
         with
-        | Some f -> Error f
-        | None -> Ok (comparison_of ~benchmark ~trace_instrs (Pool.values statuses))))
+        | Some f -> Pool.Failed f
+        | None -> Pool.Done (comparison_of ~benchmark ~trace_instrs (Pool.values statuses))))
     (Array.to_list names)
 
-let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(seed = 1)
-    ?(schedulers = default_schedulers) ?engine ?sampling ?single_config ?dual_config
-    ?(retries = 0) ?backoff ?inject_fault ?checkpoint ?trace_cache progs =
-  run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_config
-    ~dual_config ~retries ~backoff ~inject_fault ~checkpoint ~trace_cache progs
-  |> List.map (Result.map_error Pool.failure_message)
-
-let run_many ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(seed = 1)
-    ?(schedulers = default_schedulers) ?engine ?sampling ?single_config ?dual_config
-    ?(retries = 0) ?backoff ?inject_fault ?checkpoint ?trace_cache progs =
-  let results =
-    run_many_core ~jobs ~max_instrs ~seed ~schedulers ~engine ~sampling ~single_config
-      ~dual_config ~retries ~backoff ~inject_fault ~checkpoint ~trace_cache progs
-  in
-  (* As if the sweep had run serially: the first failing benchmark's
-     exception propagates with its original backtrace. *)
-  match List.find_map (function Error f -> Some f | Ok _ -> None) results with
-  | Some f -> Printexc.raise_with_backtrace f.Pool.exn f.Pool.backtrace
-  | None -> List.map (function Ok c -> c | Error _ -> assert false) results
+(* As if the sweep had run serially: the first failing benchmark's
+   exception propagates with its original backtrace. *)
+let run_many ?jobs ?max_instrs ?seed ?schedulers ?engine ?sampling ?single_config
+    ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache progs =
+  Pool.values
+    (run_many_status ?jobs ?max_instrs ?seed ?schedulers ?engine ?sampling ?single_config
+       ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache progs)
 
 let run_benchmark ?(max_instrs = 120_000) ?(seed = 1)
     ?(schedulers = default_schedulers) ?engine ?sampling ?single_config ?dual_config

@@ -131,12 +131,14 @@ val run_many_status :
   ?checkpoint:string ->
   ?trace_cache:string ->
   Mcsim_ir.Program.t list ->
-  (comparison, string) result list
+  comparison Mcsim_util.Pool.status list
 (** {!run_many}, degrading failure to data: a benchmark with a unit
-    that exhausted its retries yields [Error message] (one line, from
+    that exhausted its retries is [Failed] with that unit's failure
+    (its exception and attempt count; render it with
     {!Mcsim_util.Pool.failure_message}) instead of aborting the sweep,
     and with [checkpoint] its completed units remain recorded so only
-    the failed ones rerun on resume. *)
+    the failed ones rerun on resume. {!run_many} is {!Mcsim_util.Pool.values}
+    of this. *)
 
 val run_benchmark :
   ?max_instrs:int ->

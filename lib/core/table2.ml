@@ -1,5 +1,6 @@
 module Spec92 = Mcsim_workload.Spec92
 module Machine = Mcsim_cluster.Machine
+module Pool = Mcsim_util.Pool
 
 type row = {
   benchmark : string;
@@ -96,92 +97,57 @@ let row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~se
   in
   (manifest, key)
 
-let find_cached_row store ~manifest ~key =
-  let* d = Result_store.find store ~manifest ~key in
-  let* rj = Json.member "row" d in
-  row_of_json rj
-
-let record_row store ~manifest ~key row =
-  Result_store.record store ~manifest ~key [ ("row", row_json row) ]
-
-(* Pre-filter the benchmark list through the global result store and
-   record what the inner run produces. With a [checkpoint] the filter is
-   skipped — the checkpoint identity pins the benchmark list, so a
-   resume whose cached set grew in the meantime would otherwise be
-   refused as a different sweep; the checkpoint already makes reruns
-   cheap, and fresh rows still land in the store. *)
-let with_result_cache ~result_cache ~checkpoint ~benchmarks
-    ~(unit_of : Spec92.benchmark -> Mcsim_obs.Manifest.t * string)
-    ~(run_missing : Spec92.benchmark list -> (Spec92.benchmark * (row, string) result) list)
-    () : (Spec92.benchmark * (row, string) result) list =
-  match result_cache with
-  | None -> run_missing benchmarks
-  | Some dir ->
-    let store = Result_store.open_ ~dir in
-    let looked =
-      List.map
-        (fun b ->
-          let manifest, key = unit_of b in
-          let cached =
-            if checkpoint = None then find_cached_row store ~manifest ~key else None
-          in
-          (b, manifest, key, cached))
-        benchmarks
-    in
-    let missing =
-      List.filter_map (fun (b, _, _, c) -> if c = None then Some b else None) looked
-    in
-    let fresh = if missing = [] then [] else run_missing missing in
-    List.map
-      (fun (b, manifest, key, cached) ->
-        match cached with
-        | Some row -> (b, Ok row)
-        | None -> (
-          match List.assoc b fresh with
-          | Ok row as ok ->
-            record_row store ~manifest ~key row;
-            (b, ok)
-          | Error _ as e -> (b, e)))
-      looked
-
-let run ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?engine
+(* The rows of a Table-2 sweep, each read from the global result store
+   when it holds one. The misses run through one Experiment sweep and
+   the executor records every fresh row to the store. With a
+   [checkpoint] nothing is read from the store — the checkpoint
+   identity pins the benchmark list, so a resume whose cached set grew
+   in the meantime would otherwise be refused as a different sweep; the
+   checkpoint already makes reruns cheap, and fresh rows still land in
+   the store. *)
+let statuses ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?engine
     ?sampling ?single_config ?dual_config ?retries ?backoff ?inject_fault ?checkpoint
     ?trace_cache ?result_cache () =
-  let run_missing bs =
-    let comparisons =
-      Experiment.run_many ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
-        ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
-        (List.map Spec92.program bs)
-    in
-    List.map2 (fun b c -> (b, Ok (row_of_comparison b c))) bs comparisons
+  let stores = Option.to_list (Option.map (fun dir -> Result_store.open_ ~dir) result_cache) in
+  let rows =
+    Checkpoint.lookup
+      (if checkpoint = None then stores else [])
+      ~unit:(row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~seed)
+      ~encode:(fun row -> [ ("row", row_json row) ])
+      ~decode:(fun _ d -> Option.bind (Json.member "row" d) row_of_json)
+      benchmarks
   in
-  let unit_of =
-    row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~seed
-  in
-  with_result_cache ~result_cache ~checkpoint ~benchmarks ~unit_of ~run_missing ()
-  |> List.map (fun (_, r) -> match r with Ok row -> row | Error _ -> assert false)
+  Checkpoint.fill_with
+    (fun bs ->
+      List.map2
+        (fun b -> function
+          | Pool.Done c -> Pool.Done (row_of_comparison b c)
+          | Pool.Failed f -> Pool.Failed f)
+        bs
+        (Experiment.run_many_status ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
+           ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
+           (List.map Spec92.program bs)))
+    { rows with stores }
 
-let run_report ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all)
-    ?engine ?sampling ?single_config ?dual_config ?retries ?backoff ?inject_fault
-    ?checkpoint ?trace_cache ?result_cache () =
-  let run_missing bs =
-    let statuses =
-      Experiment.run_many_status ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
-        ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
-        (List.map Spec92.program bs)
-    in
-    List.map2 (fun b st -> (b, Result.map (row_of_comparison b) st)) bs statuses
-  in
-  let unit_of =
-    row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~seed
-  in
-  with_result_cache ~result_cache ~checkpoint ~benchmarks ~unit_of ~run_missing ()
-  |> List.fold_left
-       (fun report (b, st) ->
-         match st with
-         | Ok row -> { report with rows = report.rows @ [ row ] }
-         | Error msg -> { report with failed = report.failed @ [ (Spec92.name b, msg) ] })
-       { rows = []; failed = [] }
+let run ?jobs ?max_instrs ?seed ?benchmarks ?engine ?sampling ?single_config ?dual_config
+    ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache ?result_cache () =
+  Pool.values
+    (statuses ?jobs ?max_instrs ?seed ?benchmarks ?engine ?sampling ?single_config
+       ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache ?result_cache ())
+
+let run_report ?jobs ?max_instrs ?seed ?(benchmarks = Spec92.all) ?engine ?sampling
+    ?single_config ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
+    ?result_cache () =
+  List.fold_right2
+    (fun b st report ->
+      match st with
+      | Pool.Done row -> { report with rows = row :: report.rows }
+      | Pool.Failed f ->
+        { report with failed = (Spec92.name b, Pool.failure_message f) :: report.failed })
+    benchmarks
+    (statuses ?jobs ?max_instrs ?seed ~benchmarks ?engine ?sampling ?single_config
+       ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache ?result_cache ())
+    { rows = []; failed = [] }
 
 let pct v = Printf.sprintf "%+.1f" v
 

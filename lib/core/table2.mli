@@ -62,13 +62,15 @@ val run :
 
     [result_cache] names a {!Result_store} directory — the {e global}
     result cache the [mcsim serve] daemon also answers from. Each row
-    is addressed by {!row_store_unit}; cached rows are decoded instead
-    of recomputed (and reproduce byte-identical CSV), fresh rows are
-    recorded for every later sweep. Unlike [checkpoint], the store is
-    not pinned to one sweep identity, so any overlapping sweep anywhere
-    reuses the rows. When both are given, the checkpoint governs which
-    units run (see the note on {!run_report}) and fresh rows are still
-    recorded in the store. *)
+    is a unit addressed by {!row_store_unit} on the shared unit
+    executor ({!Checkpoint.lookup}/{!Checkpoint.fill_with}): cached rows
+    are decoded instead of recomputed (and reproduce byte-identical
+    CSV), the missing ones run through one {!Experiment.run_many_status}
+    sweep, and every row that completes is recorded — also when another
+    row fails. Unlike [checkpoint], the store is not pinned to one sweep
+    identity, so any overlapping sweep anywhere reuses the rows. With a
+    [checkpoint] the store is write-only: the checkpoint identity pins
+    the benchmark list, so the checkpoint governs which units run. *)
 
 type report = {
   rows : row list;  (** in benchmark order, failed benchmarks omitted *)
@@ -95,11 +97,7 @@ val run_report :
 (** {!run}, degrading permanent per-benchmark failure to data: rows
     hold every benchmark that completed, [failed] names the ones that
     exhausted their retries (the sweep itself never aborts). With
-    [checkpoint], rerunning finishes only what is missing; combined
-    with [result_cache] the store pre-filter is disabled (the
-    checkpoint identity pins the benchmark list, so a shrinking
-    benchmark set would read as a stale checkpoint) and the store is
-    write-through only. *)
+    [checkpoint], rerunning finishes only what is missing. *)
 
 (** {2 Row (de)serialization and the global result cache} *)
 

@@ -3,10 +3,8 @@ module BA1 = Bigarray.Array1
 
 type t = { dir : string }
 
-let dir t = t.dir
-
 let open_ ~dir =
-  Checkpoint.mkdir_p dir;
+  Result_store.mkdir_p dir;
   { dir }
 
 type key = {
@@ -24,20 +22,13 @@ let key_string k =
   Printf.sprintf "%s|%s|seed=%d|max=%d|v%d" k.benchmark k.scheduler k.seed k.max_instrs
     format_version
 
-let sanitize key =
-  let mapped =
-    String.map
-      (fun c ->
-        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' -> c | _ -> '_')
-      key
-  in
-  if String.length mapped <= 60 then mapped else String.sub mapped 0 60
-
 let path t k =
   let key = key_string k in
   let digest = String.sub (Digest.to_hex (Digest.string key)) 0 8 in
   Filename.concat t.dir
-    (Printf.sprintf "trace-%s-%s.mctrace" (sanitize (k.benchmark ^ "-" ^ k.scheduler)) digest)
+    (Printf.sprintf "trace-%s-%s.mctrace"
+       (Result_store.sanitize (k.benchmark ^ "-" ^ k.scheduler))
+       digest)
 
 let payload_bytes n = 16 * n
 
@@ -229,42 +220,22 @@ let load_or_build t k build =
 
 type entry = { e_file : string; e_instrs : int; e_bytes : int; e_valid : bool }
 
-let entries t =
+let trace_files t =
   match Sys.readdir t.dir with
   | exception Sys_error _ -> []
   | names ->
     Array.to_list names
     |> List.filter (fun name -> Filename.check_suffix name ".mctrace")
     |> List.sort String.compare
-    |> List.map (fun name ->
-           let file = Filename.concat t.dir name in
-           let bytes = try (Unix.stat file).Unix.st_size with Unix.Unix_error _ -> 0 in
-           match with_valid file (fun _ _ _ n -> n) with
-           | Some n -> { e_file = name; e_instrs = n; e_bytes = bytes; e_valid = true }
-           | None -> { e_file = name; e_instrs = 0; e_bytes = bytes; e_valid = false })
 
-let prune_keep_latest t n =
-  if n < 0 then invalid_arg "Trace_store.prune_keep_latest: n must be >= 0";
-  let stamped =
-    (match Sys.readdir t.dir with exception Sys_error _ -> [] | names -> Array.to_list names)
-    |> List.filter (fun name -> Filename.check_suffix name ".mctrace")
-    |> List.map (fun name ->
-           let mtime =
-             try (Unix.stat (Filename.concat t.dir name)).Unix.st_mtime
-             with Unix.Unix_error _ -> 0.0
-           in
-           (name, mtime))
-  in
-  (* Newest first; equal mtimes (a coarse-grained clock) break by name
-     so the survivor set is deterministic. *)
-  let ordered =
-    List.sort
-      (fun (n1, t1) (n2, t2) ->
-        match compare t2 t1 with 0 -> String.compare n1 n2 | c -> c)
-      stamped
-  in
-  let doomed = List.filteri (fun i _ -> i >= n) ordered |> List.map fst in
-  List.iter
-    (fun name -> try Sys.remove (Filename.concat t.dir name) with Sys_error _ -> ())
-    doomed;
-  List.sort String.compare doomed
+let entries t =
+  List.map
+    (fun name ->
+      let file = Filename.concat t.dir name in
+      let bytes = try (Unix.stat file).Unix.st_size with Unix.Unix_error _ -> 0 in
+      match with_valid file (fun _ _ _ n -> n) with
+      | Some n -> { e_file = name; e_instrs = n; e_bytes = bytes; e_valid = true }
+      | None -> { e_file = name; e_instrs = 0; e_bytes = bytes; e_valid = false })
+    (trace_files t)
+
+let prune_keep_latest t n = Result_store.prune_latest ~dir:t.dir (trace_files t) n

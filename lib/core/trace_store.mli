@@ -49,8 +49,6 @@ type t
 val open_ : dir:string -> t
 (** Create the directory (and parents) if needed. *)
 
-val dir : t -> string
-
 (** What a cached trace is a function of. [scheduler] is the compile
     pipeline's scheduler description (e.g. ["none"], ["local"]) — the
     rescheduled binary of the same benchmark is a different trace. *)

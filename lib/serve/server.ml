@@ -9,7 +9,6 @@ type config = {
   socket_path : string;
   jobs : int;
   retries : int;
-  backoff : (int -> float) option;
   result_cache : string option;
   trace_cache : string option;
   log : (string -> unit) option;
@@ -18,8 +17,8 @@ type config = {
 }
 
 let default ~socket_path =
-  { socket_path; jobs = 1; retries = 0; backoff = None; result_cache = None;
-    trace_cache = None; log = None; before_compute = None; on_ready = None }
+  { socket_path; jobs = 1; retries = 0; result_cache = None; trace_cache = None; log = None;
+    before_compute = None; on_ready = None }
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -46,7 +45,11 @@ type submit = {
    computation reports [source = "computed"], the rest "coalesced". *)
 type waiter = { w_sub : submit; w_index : int; w_source : string }
 
-type job = { jb_digest : string; jb_unit : Sweep.unit_spec }
+(* A unit no tier had: its store lookup, which the worker fills. *)
+type job = {
+  jb_digest : string;
+  jb_lookup : (Sweep.unit_spec, (string * Json.t) list) Mcsim.Checkpoint.lookup;
+}
 
 type counters = {
   mutable c_requests : int;
@@ -61,7 +64,7 @@ type counters = {
 
 type state = {
   cfg : config;
-  store : Mcsim.Result_store.t option;
+  stores : Mcsim.Result_store.t list;
   memcache : (string, (string * Json.t) list) Hashtbl.t;
   inflight : (string, waiter list ref) Hashtbl.t;
   clients : (Unix.file_descr, client) Hashtbl.t;
@@ -72,7 +75,7 @@ type state = {
   jobs_q : job Queue.t;
   mutable stopping : bool;
   done_m : Mutex.t;
-  done_q : (string * ((string * Json.t) list, string) result) Queue.t;
+  done_q : (string * (string * Json.t) list Pool.status) Queue.t;
   pipe_w : Unix.file_descr;
   mutable stop_requested : bool;
 }
@@ -114,22 +117,11 @@ let worker state =
     | Some jb ->
       (match state.cfg.before_compute with Some f -> f jb.jb_digest | None -> ());
       let res =
-        match
-          Pool.parallel_map_status ~retries:state.cfg.retries ?backoff:state.cfg.backoff
-            ~jobs:1
-            (fun () -> jb.jb_unit.Sweep.u_compute ())
-            [ () ]
-        with
-        | [ Pool.Done fields ] -> Ok fields
-        | [ Pool.Failed f ] -> Error (Pool.failure_message f)
-        | _ -> assert false
+        Mcsim.Checkpoint.fill ~retries:state.cfg.retries ~jobs:1
+          (fun (u : Sweep.unit_spec) -> u.u_compute ())
+          jb.jb_lookup
       in
-      (match (res, state.store) with
-      | Ok fields, Some store ->
-        Mcsim.Result_store.record store ~manifest:jb.jb_unit.Sweep.u_manifest
-          ~key:jb.jb_unit.Sweep.u_key fields
-      | _ -> ());
-      push_done state (jb.jb_digest, res);
+      push_done state (jb.jb_digest, List.hd res);
       loop ()
   in
   loop ()
@@ -192,10 +184,11 @@ let process_done state (dg, res) =
     Hashtbl.remove state.inflight dg;
     let ws = List.rev !waiters in
     (match res with
-    | Ok fields ->
+    | Pool.Done fields ->
       Hashtbl.replace state.memcache dg fields;
       List.iter (fun w -> resolve state w.w_sub w.w_index ~source:w.w_source fields) ws
-    | Error msg ->
+    | Pool.Failed f ->
+      let msg = Pool.failure_message f in
       state.counters.c_units_failed <- state.counters.c_units_failed + 1;
       log state "unit %s failed: %s" (String.sub dg 0 8) msg;
       List.iter
@@ -242,26 +235,26 @@ let handle_submit state c ~id sweep =
       | Some fields -> resolve state sub i ~source:"cache" fields
       | None -> (
         let disk =
-          match state.store with
-          | None -> None
-          | Some store -> (
-            match Mcsim.Result_store.find store ~manifest:u.u_manifest ~key:u.u_key with
-            | Some (Json.Obj fields) ->
-              Some (List.filter (fun (k, _) -> k <> "unit_key") fields)
-            | Some _ | None -> None)
+          Mcsim.Checkpoint.lookup state.stores
+            ~unit:(fun _ -> (u.u_manifest, u.u_key))
+            ~encode:Fun.id
+            ~decode:(fun _ -> function
+              | Json.Obj fields -> Some (List.filter (fun (k, _) -> k <> "unit_key") fields)
+              | _ -> None)
+            [ u ]
         in
-        match disk with
-        | Some fields ->
+        match disk.cached with
+        | [ (_, Some fields) ] ->
           Hashtbl.replace state.memcache dg fields;
           resolve state sub i ~source:"cache" fields
-        | None -> (
+        | _ -> (
           match Hashtbl.find_opt state.inflight dg with
           | Some waiters ->
             waiters := { w_sub = sub; w_index = i; w_source = "coalesced" } :: !waiters
           | None ->
             Hashtbl.replace state.inflight dg
               (ref [ { w_sub = sub; w_index = i; w_source = "computed" } ]);
-            enqueue_job state { jb_digest = dg; jb_unit = u })))
+            enqueue_job state { jb_digest = dg; jb_lookup = disk })))
     units
 
 let stats_json state =
@@ -349,7 +342,8 @@ let run cfg =
   let pipe_r, pipe_w = Unix.pipe () in
   let state =
     { cfg;
-      store = Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) cfg.result_cache;
+      stores =
+        Option.to_list (Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) cfg.result_cache);
       memcache = Hashtbl.create 64;
       inflight = Hashtbl.create 16;
       clients = Hashtbl.create 16;

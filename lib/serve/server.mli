@@ -13,9 +13,10 @@
       batch runs and previous server lifetimes),
     + an {e in-flight} computation of the same digest started for any
       client — the unit is coalesced onto it, never recomputed,
-    + a worker domain, which wraps the simulation in
-      {!Mcsim_util.Pool.parallel_map_status} with the configured
-      [retries]/[backoff] and records the result in the store.
+    + a worker domain, which fills the unit's store lookup through
+      the shared unit executor ({!Mcsim.Checkpoint.fill}, with the
+      configured [retries]) — the same path a batch run takes, so the
+      result lands in the store exactly as a batch run records it.
 
     Per-unit progress frames stream back as units resolve; a client
     that disconnects mid-sweep is forgotten without disturbing the
@@ -25,8 +26,7 @@
 type config = {
   socket_path : string;
   jobs : int;  (** worker domains (>= 1) *)
-  retries : int;  (** per-unit retries, as in the batch CLI *)
-  backoff : (int -> float) option;  (** [None] = Pool's default schedule *)
+  retries : int;  (** per-unit retries, as in the batch CLI, on Pool's default schedule *)
   result_cache : string option;  (** {!Mcsim.Result_store} directory *)
   trace_cache : string option;  (** {!Mcsim.Trace_store} directory *)
   log : (string -> unit) option;  (** one-line event sink; [None] = silent *)

@@ -175,39 +175,34 @@ let execute ?checkpoint ?result_cache ?trace_cache ?profile ~retries ~decode swe
     | P.Table2 _ -> invalid_arg "Sweep.execute: table2 runs through Table2.run_report"
   in
   let u = List.hd (fst (units ?trace_cache ?profile sweep)) in
-  let ck =
-    Option.map
-      (fun dir ->
-        Mcsim.Checkpoint.open_ ~dir ~kind:(P.sweep_kind sweep) ~manifest:u.u_manifest
-          ~extra:[ ("machine", Json.String (P.machine_name machine)) ]
-          ())
-      checkpoint
+  let stores =
+    Option.to_list
+      (Option.map
+         (fun dir ->
+           Mcsim.Checkpoint.store
+             (Mcsim.Checkpoint.open_ ~dir ~kind:(P.sweep_kind sweep) ~manifest:u.u_manifest
+                ~extra:[ ("machine", Json.String (P.machine_name machine)) ]
+                ()))
+         checkpoint)
+    @ Option.to_list (Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) result_cache)
   in
-  let rs = Option.map (fun dir -> Mcsim.Result_store.open_ ~dir) result_cache in
-  let cached =
-    match Option.bind ck (fun st -> Option.bind (Mcsim.Checkpoint.find st u.u_key) decode) with
-    | Some _ as hit -> hit
-    | None ->
-      Option.bind rs (fun st ->
-          Option.bind (Mcsim.Result_store.find st ~manifest:u.u_manifest ~key:u.u_key) decode)
+  (* A unit's decoded value, paired with the fields it is stored as. *)
+  let l =
+    Mcsim.Checkpoint.lookup stores
+      ~unit:(fun () -> (u.u_manifest, u.u_key))
+      ~encode:snd
+      ~decode:(fun () d ->
+        match (decode d, d) with Some v, Json.Obj fields -> Some (Some v, fields) | _ -> None)
+      [ () ]
   in
-  match cached with
-  | Some v -> (v, true)
-  | None -> (
-    let compute () =
-      let fields = u.u_compute () in
-      Option.iter (fun st -> Mcsim.Checkpoint.record st ~key:u.u_key fields) ck;
-      Option.iter
-        (fun st -> Mcsim.Result_store.record st ~manifest:u.u_manifest ~key:u.u_key fields)
-        rs;
-      fields
-    in
-    match Mcsim_util.Pool.parallel_map ~retries ~jobs:1 compute [ () ] with
-    | [ fields ] -> (
-      match decode (Json.Obj fields) with
-      | Some v -> (v, false)
-      | None -> failwith (Printf.sprintf "%s: unit %s did not decode" u.u_label u.u_key))
-    | _ -> assert false)
+  let compute () =
+    let fields = u.u_compute () in
+    (decode (Json.Obj fields), fields)
+  in
+  match (Mcsim_util.Pool.values (Mcsim.Checkpoint.fill ~retries ~jobs:1 compute l), l.cached) with
+  | [ (Some v, _) ], [ (_, hit) ] -> (v, Option.is_some hit)
+  | [ (None, _) ], _ -> failwith (Printf.sprintf "%s: unit %s did not decode" u.u_label u.u_key)
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* command.json                                                        *)

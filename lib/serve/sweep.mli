@@ -98,13 +98,13 @@ val execute :
   decode:(Mcsim_obs.Json.t -> 'a option) ->
   Protocol.sweep ->
   'a * bool
-(** The blocking executor of the batch CLI, for a [Run] or [Sample]
-    sweep (one unit). The unit is looked up in the [checkpoint]
-    directory (identity: the sweep kind, {!manifest} and the [machine]
-    name), then in the [result_cache] {!Mcsim.Result_store}; a record
-    [decode] rejects counts as a miss. Otherwise it is computed under
-    {!Mcsim_util.Pool.parallel_map} with [retries] and recorded to both.
-    Returns the decoded value and whether it came from a cache.
+(** The batch CLI's path for a [Run] or [Sample] sweep (one unit), on
+    the shared unit executor: {!Mcsim.Checkpoint.lookup} over the
+    [checkpoint] directory (identity: the sweep kind, {!manifest} and
+    the [machine] name) then the [result_cache] {!Mcsim.Result_store} —
+    a record [decode] rejects is a miss — and otherwise
+    {!Mcsim.Checkpoint.fill} with [retries], which records the unit to
+    both. Returns the decoded value and whether it came from a cache.
     @raise Invalid_argument on [Table2], whose batch path is
     {!Mcsim.Table2.run_report}. *)
 

@@ -246,10 +246,32 @@ let checkpoint_stale_refused () =
   | _ -> Alcotest.fail "stale sweep parameters accepted"
   | exception Failure msg -> check Alcotest.bool "one-line error" true (one_line msg)
 
+let checkpoint_foreign_unit_misses () =
+  with_dir @@ fun src ->
+  with_dir @@ fun dst ->
+  let theirs = Mcsim.Checkpoint.open_ ~dir:src ~kind:"test" ~manifest:(manifest ~seed:2 ()) () in
+  Mcsim.Checkpoint.record theirs ~key:"a" [ ("x", Json.Int 2) ];
+  let ours = Mcsim.Checkpoint.open_ ~dir:dst ~kind:"test" ~manifest:(manifest ()) () in
+  (* Same key, same file name: only the stored manifest tells them apart. *)
+  Array.iter
+    (fun f ->
+      if String.length f > 5 && String.sub f 0 5 = "unit-" then
+        Out_channel.with_open_text (Filename.concat dst f) (fun oc ->
+            Out_channel.output_string oc
+              (In_channel.with_open_text (Filename.concat src f) In_channel.input_all)))
+    (Sys.readdir src);
+  check (Alcotest.option Alcotest.unit) "a foreign sweep's unit is a miss" None
+    (Option.map ignore (Mcsim.Checkpoint.find ours "a"));
+  Mcsim.Checkpoint.record ours ~key:"a" [ ("x", Json.Int 1) ];
+  check (Alcotest.option Alcotest.int) "recomputed and overwritten" (Some 1)
+    (Option.bind (Mcsim.Checkpoint.find ours "a") (fun d ->
+         Option.bind (Json.member "x" d) Json.get_int))
+
 (* ---------------------------- executor ----------------------------- *)
 
 let int_lookup st xs =
-  Mcsim.Checkpoint.lookup st ~key:string_of_int
+  let stores, unit = Mcsim.Checkpoint.stores st ~key:string_of_int in
+  Mcsim.Checkpoint.lookup stores ~unit
     ~encode:(fun y -> [ ("y", Json.Int y) ])
     ~decode:(fun _ d -> Option.bind (Json.member "y" d) Json.get_int)
     xs
@@ -323,6 +345,46 @@ let executor_exhausted_unrecorded () =
   check (Alcotest.list Alcotest.string) "the other units are recorded, the failed one is not"
     [ "1"; "3" ] (Mcsim.Checkpoint.keys st)
 
+let executor_two_stores () =
+  with_dir @@ fun d1 ->
+  with_dir @@ fun d2 ->
+  let first = Mcsim.Result_store.open_ ~dir:d1 and second = Mcsim.Result_store.open_ ~dir:d2 in
+  let m = manifest () in
+  let key = string_of_int in
+  let get store x =
+    Option.bind (Mcsim.Result_store.find store ~manifest:m ~key:(key x)) (fun d ->
+        Option.bind (Json.member "y" d) Json.get_int)
+  in
+  (* 1 lives only in the first store, 2 only in the second, with values
+     no computation produces; 3 is in neither. *)
+  Mcsim.Result_store.record first ~manifest:m ~key:"1" [ ("y", Json.Int (-1)) ];
+  Mcsim.Result_store.record second ~manifest:m ~key:"1" [ ("y", Json.Int 999) ];
+  Mcsim.Result_store.record second ~manifest:m ~key:"2" [ ("y", Json.Int (-2)) ];
+  let ran = ref [] in
+  let out =
+    Pool.values
+      (Mcsim.Checkpoint.fill ~jobs:1
+         (fun x ->
+           ran := x :: !ran;
+           x * 10)
+         (Mcsim.Checkpoint.lookup [ first; second ]
+            ~unit:(fun x -> (m, key x))
+            ~encode:(fun y -> [ ("y", Json.Int y) ])
+            ~decode:(fun _ d -> Option.bind (Json.member "y" d) Json.get_int)
+            [ 1; 2; 3 ]))
+  in
+  check (Alcotest.list Alcotest.int) "first store wins, then second, then compute"
+    [ -1; -2; 30 ] out;
+  check (Alcotest.list Alcotest.int) "only the miss ran" [ 3 ] !ran;
+  check (Alcotest.option Alcotest.int) "a first-store hit leaves the second alone" (Some 999)
+    (get second 1);
+  check (Alcotest.option Alcotest.int) "a second-store hit is not copied into the first" None
+    (get first 2);
+  check
+    (Alcotest.pair (Alcotest.option Alcotest.int) (Alcotest.option Alcotest.int))
+    "a miss is recorded to both" (Some 30, Some 30)
+    (get first 3, get second 3)
+
 (* ------------------------ sweep resume ----------------------------- *)
 
 let benches = [ Spec92.Compress; Spec92.Ora ]
@@ -378,6 +440,28 @@ let table2_failure_message () =
     check Alcotest.string "benchmark name" "compress" bench;
     check Alcotest.bool "message is one line" true (one_line msg)
   | _ -> Alcotest.fail "expected exactly one failed benchmark"
+
+let table2_failure_records_completed_rows () =
+  with_dir @@ fun dir ->
+  let store = Mcsim.Result_store.open_ ~dir in
+  let straight = Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:[ Spec92.Compress ] () in
+  (* Stage 2 runs six simulations; the last (ora's local run) always
+     fails. Stage 1 has only two jobs, so it is untouched. *)
+  (match
+     Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:benches ~result_cache:dir
+       ~inject_fault:(fun ~job ~attempt:_ -> job = 5)
+       ()
+   with
+  | _ -> Alcotest.fail "expected the injected fault to surface"
+  | exception Pool.Injected_fault _ -> ());
+  check Alcotest.int "compress's row, not ora's, is in the store" 1
+    (List.length (Mcsim.Result_store.entries store));
+  let cached =
+    Mcsim.Table2.run ~max_instrs:t2_instrs ~benchmarks:[ Spec92.Compress ] ~result_cache:dir
+      ~inject_fault:(fun ~job:_ ~attempt:_ -> true)
+      ()
+  in
+  rows_equal "recorded row" straight cached
 
 (* QCheck: whatever prefix of the unit fan-out survives the first pass,
    resume always reconstructs the straight run exactly. *)
@@ -493,7 +577,7 @@ let steer_checkpoint () =
    the drivers wrote them before they shared one executor. A change
    here orphans every existing checkpoint directory. *)
 let sweep_identity dir =
-  let j = Option.get (Mcsim.Checkpoint.read_json (Filename.concat dir "sweep.json")) in
+  let j = Option.get (Mcsim.Result_store.read_json (Filename.concat dir "sweep.json")) in
   let field k = Option.get (Json.member k j) in
   Json.Obj
     [ ("kind", field "kind");
@@ -505,7 +589,7 @@ let unit_keys dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> String.length f > 5 && String.sub f 0 5 = "unit-")
   |> List.filter_map (fun f ->
-         Option.bind (Mcsim.Checkpoint.read_json (Filename.concat dir f)) (fun j ->
+         Option.bind (Mcsim.Result_store.read_json (Filename.concat dir f)) (fun j ->
              Option.bind (Json.path [ "data"; "unit_key" ] j) Json.get_string))
   |> List.sort String.compare
 
@@ -580,15 +664,20 @@ let suite =
       case "checkpoint: rewrite wins" checkpoint_overwrite;
       case "checkpoint: corrupt unit reads as missing" checkpoint_corrupt_unit;
       case "checkpoint: stale kind/manifest/params refused" checkpoint_stale_refused;
+      case "checkpoint: a unit file from another sweep reads as a miss"
+        checkpoint_foreign_unit_misses;
       case "executor: order preserved across hits and misses" executor_order;
       case "executor: fault job indices count only misses" executor_fault_indices;
       case "executor: a fully cached list never consults the hook" executor_cached_skips_hook;
       case "executor: an exhausted unit is not recorded" executor_exhausted_unrecorded;
+      case "executor: stores read in order, a miss recorded to all" executor_two_stores;
       case "table2: interrupted + resume equals straight run" table2_resume_identical;
       case "table2: complete checkpoint never recomputes"
         table2_complete_checkpoint_never_recomputes;
       case "table2: permanent failure degrades to a row-level report"
         table2_failure_message;
+      case "table2: a failing run still records its completed rows"
+        table2_failure_records_completed_rows;
       QCheck_alcotest.to_alcotest resume_prefix_property;
       case "ablation: checkpoint reload and stale refusal" ablation_checkpoint;
       case "cluster_count: checkpoint reload" cluster_count_checkpoint;

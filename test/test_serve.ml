@@ -312,6 +312,31 @@ let store_prune () =
   | _ -> Alcotest.fail "negative keep accepted"
   | exception Invalid_argument _ -> ())
 
+(* Two handles on one directory recording the same unit — the daemon
+   beside a batch --result-cache run, or two batch runs. Each write
+   goes through a temp file of its own, so no rename loses its file and
+   no read sees a torn one. *)
+let store_concurrent_writers () =
+  let dir = tmp_dir "mcsim-conc" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let manifest = manifest_for ~seed:1 (List.hd Spec92.all) in
+  let writer () =
+    let store = Mcsim.Result_store.open_ ~dir in
+    let misses = ref 0 in
+    for _ = 1 to 3000 do
+      Mcsim.Result_store.record store ~manifest ~key:"run" [ ("answer", Json.Int 42) ];
+      if Mcsim.Result_store.find store ~manifest ~key:"run" = None then incr misses
+    done;
+    !misses
+  in
+  let other = Domain.spawn writer in
+  let mine = writer () in
+  let theirs = Domain.join other in
+  check (Alcotest.pair Alcotest.int Alcotest.int) "every find hits" (0, 0) (mine, theirs);
+  check (Alcotest.list Alcotest.string) "one entry, no temp files left"
+    [ "res-" ^ Mcsim.Result_store.digest ~manifest ~key:"run" ^ ".json" ]
+    (Array.to_list (Sys.readdir dir))
+
 (* ------------------------- batch result cache ----------------------- *)
 
 let always_fault ~job:_ ~attempt:_ = true
@@ -621,6 +646,42 @@ let qcheck_served_equals_in_process =
          served_r.Machine.cycles = direct.Machine.cycles
          && served_r.Machine.retired = direct.Machine.retired))
 
+(* The batch executors and the daemon address, name and write a unit
+   identically, so either one's entry serves the other. *)
+let store_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort String.compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_text (Filename.concat dir f) In_channel.input_all))
+
+let batch_and_daemon_write_one_file () =
+  let batch = tmp_dir "mcsim-batch" and served = tmp_dir "mcsim-served" in
+  Fun.protect ~finally:(fun () -> List.iter rm_rf [ batch; served ]) @@ fun () ->
+  let run =
+    P.Run
+      { bench = List.hd Spec92.all; machine = `Dual; scheduler = Pipeline.default_local;
+        max_instrs = 2000; seed = 1; engine = `Wakeup; clusters = None; topology = p2p;
+        steering = Steering.Static }
+  in
+  let benchmarks = [ List.nth Spec92.all 3 ] in
+  let table2 =
+    P.Table2
+      { benchmarks; max_instrs = 2000; seed = 1; engine = `Wakeup; sampling = None;
+        four_way = false; clusters = None; topology = p2p; steering = Steering.Static }
+  in
+  ignore
+    (Mcsim_serve.Sweep.execute ~result_cache:batch ~retries:0
+       ~decode:Mcsim_serve.Sweep.run_of_json run);
+  ignore (Mcsim.Table2.run ~jobs:1 ~max_instrs:2000 ~seed:1 ~benchmarks ~result_cache:batch ());
+  (with_server ~result_cache:served @@ fun sock ->
+   let c = Client.connect ~socket_path:sock in
+   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+   ignore (Client.submit c run);
+   ignore (Client.submit c table2));
+  let files = store_files batch in
+  check Alcotest.int "one run unit and one table2 row" 2 (List.length files);
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "same res-*.json names and bytes" files (store_files served)
+
 let server_refuses_second_listener () =
   with_server @@ fun sock ->
   match Server.run (Server.default ~socket_path:sock) with
@@ -643,6 +704,7 @@ let suite =
       case "result store: hit/miss/identity verification" store_hit_miss_verify;
       case "result store: reads checkpoint directories" store_reads_checkpoint_dirs;
       case "result store: prune keep-latest" store_prune;
+      case "result store: concurrent writers of one unit" store_concurrent_writers;
       case "table2 --result-cache: zero recompute, identical CSV"
         table2_result_cache_no_recompute;
       case "daemon: served table2 ≡ in-process, resubmit fully cached"
@@ -654,4 +716,5 @@ let suite =
       case "daemon: mid-sweep disconnect leaves the server healthy"
         disconnect_mid_sweep_leaves_server_healthy;
       qcheck_served_equals_in_process;
-      case "daemon: live socket refused to a second server" server_refuses_second_listener ] )
+      case "daemon: live socket refused to a second server" server_refuses_second_listener;
+      case "batch and daemon write one store file per unit" batch_and_daemon_write_one_file ] )
