@@ -404,17 +404,23 @@ let ablations () =
   let gcc1 = ctx Spec92.Gcc1 in
   let compress = ctx Spec92.Compress in
   let tomcatv = ctx Spec92.Tomcatv in
-  show (Mcsim.Ablation.transfer_buffers ~ctx:gcc1 Spec92.Gcc1);
-  show (Mcsim.Ablation.imbalance_threshold ~ctx:compress Spec92.Compress);
-  show (Mcsim.Ablation.partitioners ~ctx:compress Spec92.Compress);
-  show (Mcsim.Ablation.partitioners ~ctx:tomcatv Spec92.Tomcatv);
-  show (Mcsim.Ablation.global_registers ~ctx:gcc1 Spec92.Gcc1);
-  show (Mcsim.Ablation.dispatch_queue_split ~ctx:compress Spec92.Compress);
-  show (Mcsim.Ablation.queue_organization ~max_instrs:ablation_instrs Spec92.Doduc);
+  let kind name =
+    List.find (fun k -> Mcsim.Ablation.kind_name k = name) Mcsim.Ablation.kinds
+  in
+  let run ?ctx ?max_instrs name b =
+    show (Mcsim.Ablation.run ?ctx ?max_instrs (kind name) b)
+  in
+  run ~ctx:gcc1 "buffers" Spec92.Gcc1;
+  run ~ctx:compress "threshold" Spec92.Compress;
+  run ~ctx:compress "partitioners" Spec92.Compress;
+  run ~ctx:tomcatv "partitioners" Spec92.Tomcatv;
+  run ~ctx:gcc1 "globals" Spec92.Gcc1;
+  run ~ctx:compress "dq" Spec92.Compress;
+  run ~max_instrs:ablation_instrs "queues" Spec92.Doduc;
   let su2cor = ctx Spec92.Su2cor in
-  show (Mcsim.Ablation.memory_latency ~ctx:su2cor Spec92.Su2cor);
-  show (Mcsim.Ablation.mshr_entries ~ctx:su2cor Spec92.Su2cor);
-  show (Mcsim.Ablation.unrolling ~ctx:tomcatv Spec92.Tomcatv);
+  run ~ctx:su2cor "memory" Spec92.Su2cor;
+  run ~ctx:su2cor "mshrs" Spec92.Su2cor;
+  run ~ctx:tomcatv "unroll" Spec92.Tomcatv;
   show (Mcsim.Ablation.unrolling_kernel ~max_instrs:ablation_instrs ())
 
 (* ------------------------------------------------------------------ *)
@@ -447,7 +453,6 @@ let durable () =
   let retried, retried_s =
     wall (fun () ->
         Mcsim.Table2.run ~max_instrs:durable_instrs ~benchmarks ~retries:3
-          ~backoff:Mcsim_util.Pool.no_backoff
           ~inject_fault:(fun ~job ~attempt ->
             Mcsim_util.Pool.seeded_faults ~seed:42 ~rate:0.4 ~job ~attempt)
           ~checkpoint:dir_transient ())

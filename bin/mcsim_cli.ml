@@ -265,19 +265,36 @@ let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"Print Table 1 (issue rules and latencies).")
     Term.(const run $ const ())
 
-(* The --metrics-out snapshot: the sweep's manifest, stamped now. *)
-let write_metrics ~t_start ?trace_instrs ?result ?profile ?sampling ?extra sweep = function
+(* The --metrics-out snapshot: [manifest], stamped now. *)
+let write_snapshot ~t_start ~kind ~manifest ?result ?profile ?sampling ?extra = function
   | None -> ()
   | Some path ->
-    let m = Sweep.manifest sweep in
-    let manifest =
-      { m with
-        Mcsim_obs.Manifest.created_unix = Unix.time ();
-        trace_instrs = (if trace_instrs = None then m.trace_instrs else trace_instrs) }
-    in
     Mcsim_obs.Metrics.write_file path
-      (Mcsim_obs.Metrics.snapshot ~manifest ~kind:(P.sweep_kind sweep) ?result ?profile
-         ?sampling ~wall_seconds:(Unix.gettimeofday () -. t_start) ?extra ())
+      (Mcsim_obs.Metrics.snapshot
+         ~manifest:{ manifest with Mcsim_obs.Manifest.created_unix = Unix.time () }
+         ~kind ?result ?profile ?sampling ~wall_seconds:(Unix.gettimeofday () -. t_start)
+         ?extra ())
+
+(* A batch or served sweep's snapshot: its own manifest. *)
+let write_metrics ~t_start ?trace_instrs ?result ?profile ?sampling ?extra sweep =
+  let m = Sweep.manifest sweep in
+  write_snapshot ~t_start ~kind:(P.sweep_kind sweep)
+    ~manifest:
+      { m with
+        Mcsim_obs.Manifest.trace_instrs =
+          (if trace_instrs = None then m.trace_instrs else trace_instrs) }
+    ?result ?profile ?sampling ?extra
+
+(* A cell matrix's snapshot (clusters, steer): the manifest names every
+   benchmark and [cfg], the matrix's reference machine, and the rows go
+   under [kind]. *)
+let write_matrix_metrics ~t_start ~kind ~seed ~benchmarks ~max_instrs cfg rows =
+  write_snapshot ~t_start ~kind
+    ~manifest:
+      (Mcsim_obs.Manifest.make ~seed
+         ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
+         ~trace_instrs:max_instrs cfg)
+    ~extra:[ (kind, rows) ]
 
 let headline sweep cached =
   Printf.printf "%s:%s\n" (Sweep.describe sweep) (if cached then " (from cache)" else "")
@@ -648,20 +665,8 @@ let clusters_cmd =
     let t_start = Unix.gettimeofday () in
     let rows = Mcsim.Cluster_count.run ~jobs ~max_instrs ~seed ~benchmarks () in
     print_string (Mcsim.Cluster_count.render rows);
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      let manifest =
-        Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~seed
-          ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
-          ~trace_instrs:max_instrs
-          (Mcsim.Cluster_count.config_for 1)
-      in
-      Mcsim_obs.Metrics.write_file path
-        (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"clusters"
-           ~wall_seconds:(Unix.gettimeofday () -. t_start)
-           ~extra:[ ("clusters", Mcsim.Cluster_count.rows_json rows) ]
-           ())
+    write_matrix_metrics ~t_start ~kind:"clusters" ~seed ~benchmarks ~max_instrs
+      (Mcsim.Cluster_count.config_for 1) (Mcsim.Cluster_count.rows_json rows) metrics_out
   in
   Cmd.v
     (Cmd.info "clusters"
@@ -682,20 +687,9 @@ let steer_cmd =
     in
     if csv then print_string (Mcsim.Steer.csv rows)
     else print_string (Mcsim.Steer.render rows);
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      let manifest =
-        Mcsim_obs.Manifest.make ~created_unix:(Unix.time ()) ~seed
-          ~benchmark:(String.concat "," (List.map Mcsim_workload.Spec92.name benchmarks))
-          ~trace_instrs:max_instrs
-          (Mcsim_cluster.Machine.config_for_clusters ~topology 2)
-      in
-      Mcsim_obs.Metrics.write_file path
-        (Mcsim_obs.Metrics.snapshot ~manifest ~kind:"steer"
-           ~wall_seconds:(Unix.gettimeofday () -. t_start)
-           ~extra:[ ("steer", Mcsim.Steer.rows_json rows) ]
-           ())
+    write_matrix_metrics ~t_start ~kind:"steer" ~seed ~benchmarks ~max_instrs
+      (Mcsim_cluster.Machine.config_for_clusters ~topology 2) (Mcsim.Steer.rows_json rows)
+      metrics_out
   in
   Cmd.v
     (Cmd.info "steer"
@@ -715,39 +709,21 @@ let reassign_cmd =
     Term.(const run $ jobs_arg)
 
 let ablate_cmd =
+  let names = List.map Mcsim.Ablation.kind_name Mcsim.Ablation.kinds in
   let sweep_arg =
     Arg.(required
-         & pos 0
-             (some
-                (enum
-                   [ ("buffers", `Buffers); ("threshold", `Threshold);
-                     ("partitioners", `Partitioners); ("globals", `Globals); ("dq", `Dq);
-                     ("unroll", `Unroll); ("queues", `Queues); ("memory", `Memory); ("mshrs", `Mshrs) ]))
-             None
+         & pos 0 (some (enum (List.combine names Mcsim.Ablation.kinds))) None
          & info [] ~docv:"SWEEP")
   in
   let bench_pos1 =
     Arg.(required & pos 1 (some bench_conv) None & info [] ~docv:"BENCHMARK")
   in
-  let run sweep bench max_instrs jobs =
+  let run kind bench max_instrs jobs =
     wrap @@ fun () ->
-    let s =
-      match sweep with
-      | `Buffers -> Mcsim.Ablation.transfer_buffers ~jobs ~max_instrs bench
-      | `Threshold -> Mcsim.Ablation.imbalance_threshold ~jobs ~max_instrs bench
-      | `Partitioners -> Mcsim.Ablation.partitioners ~jobs ~max_instrs bench
-      | `Globals -> Mcsim.Ablation.global_registers ~jobs ~max_instrs bench
-      | `Dq -> Mcsim.Ablation.dispatch_queue_split ~jobs ~max_instrs bench
-      | `Unroll -> Mcsim.Ablation.unrolling ~jobs ~max_instrs bench
-      | `Queues -> Mcsim.Ablation.queue_organization ~jobs ~max_instrs bench
-      | `Memory -> Mcsim.Ablation.memory_latency ~jobs ~max_instrs bench
-      | `Mshrs -> Mcsim.Ablation.mshr_entries ~jobs ~max_instrs bench
-    in
-    print_string (Mcsim.Ablation.render s)
+    print_string (Mcsim.Ablation.render (Mcsim.Ablation.run ~jobs ~max_instrs kind bench))
   in
   Cmd.v
-    (Cmd.info "ablate"
-       ~doc:"Design-space sweeps: buffers, threshold, partitioners, globals, dq, unroll.")
+    (Cmd.info "ablate" ~doc:("Design-space sweeps: " ^ String.concat ", " names ^ "."))
     Term.(const run $ sweep_arg $ bench_pos1 $ max_instrs_arg $ jobs_arg)
 
 let compile_cmd =

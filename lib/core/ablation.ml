@@ -4,6 +4,7 @@ module Pipeline = Mcsim_compiler.Pipeline
 module Walker = Mcsim_trace.Walker
 module Spec92 = Mcsim_workload.Spec92
 module Pool = Mcsim_util.Pool
+module Cache = Mcsim_cache.Cache
 
 type point = {
   label : string;
@@ -31,17 +32,16 @@ type ctx = {
          shared by every sweep running on this context *)
 }
 
-let make_ctx ?(max_instrs = 60_000) bench =
-  let prog = Spec92.program bench in
+let ctx_of ~max_instrs ~bench_name prog =
   let profile = Walker.profile prog in
   let native = Pipeline.compile ~profile ~scheduler:Pipeline.Sched_none prog in
   let native_trace = Walker.trace_flat ~max_instrs native.Pipeline.mach in
   let single = Machine.run_flat (Machine.single_cluster ()) native_trace in
   { prog; profile; native_trace; single_cycles = single.Machine.cycles; max_instrs;
-    bench_name = Spec92.name bench; local = None }
+    bench_name; local = None }
 
-let get_ctx ?ctx ?max_instrs bench =
-  match ctx with Some c -> c | None -> make_ctx ?max_instrs bench
+let make_ctx ?(max_instrs = 60_000) bench =
+  ctx_of ~max_instrs ~bench_name:(Spec92.name bench) (Spec92.program bench)
 
 let dual trace = Machine.run_flat (Machine.dual_cluster ()) trace
 
@@ -77,135 +77,25 @@ let point_of ~single_cycles label (r : Machine.result) =
     replays = r.Machine.replays;
     dual_distributed = r.Machine.dual_distributed }
 
-(* A labelled point whose simulation [run] is compared against the
-   context's single-cluster baseline. *)
-let on ctx label run =
-  (label, fun () -> point_of ~single_cycles:ctx.single_cycles label (run ()))
+(* ------------------------------------------------------------------ *)
+(* The sweeps                                                          *)
+(* ------------------------------------------------------------------ *)
 
-(* Every sweep fans its points out through here, on
-   {!Checkpoint.map}: one durable unit per point, keyed by label. The
-   checkpoint identity is the sweep name, benchmark, trace budget and
-   exact label set (the labels encode the swept parameter values), plus
-   the mcsim version via the manifest — anything else that could change
-   a point's value changes one of those. *)
-let run_points ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~benchmark ~max_instrs
-    sweep_name labelled =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let store =
-    Option.map
-      (fun dir ->
-        let manifest =
-          Mcsim_obs.Manifest.make ~benchmark ~trace_instrs:max_instrs
-            (Machine.dual_cluster ())
-        in
-        let extra =
-          [ ("sweep", Json.String sweep_name);
-            ("labels", Json.List (List.map (fun (l, _) -> Json.String l) labelled)) ]
-        in
-        Checkpoint.open_ ~dir ~kind:"ablation" ~manifest ~extra ())
-      checkpoint
-  in
-  { sweep_name;
-    benchmark;
-    points =
-      Checkpoint.map ?retries ?backoff ?inject_fault ~jobs store ~key:fst ~encode:point_json
-        ~decode:(fun _ -> point_of_json)
-        (fun (_, thunk) -> thunk ())
-        labelled }
-
-let run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx =
-  run_points ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~benchmark:ctx.bench_name
-    ~max_instrs:ctx.max_instrs
+(* [ctx]'s program compiled by [scheduler] and walked. *)
+let compiled_trace ctx scheduler =
+  let c = Pipeline.compile ~profile:ctx.profile ~scheduler ctx.prog in
+  Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach
 
 (* The local-scheduler trace is compiled and walked at most once per
-   context. Sweeps force it before fanning points out over domains, so
-   the memo write never races. *)
+   context. A sweep whose points read it forces it before fanning out
+   over domains, so the memo write never races. *)
 let local_trace ctx =
   match ctx.local with
   | Some t -> t
   | None ->
-    let c = Pipeline.compile ~profile:ctx.profile ~scheduler:Pipeline.default_local ctx.prog in
-    let t = Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach in
+    let t = compiled_trace ctx Pipeline.default_local in
     ctx.local <- Some t;
     t
-
-let transfer_buffers ?jobs ?ctx ?max_instrs ?(sizes = [ 2; 4; 8; 16; 32 ]) ?retries
-    ?backoff ?inject_fault ?checkpoint bench =
-  let ctx = get_ctx ?ctx ?max_instrs bench in
-  let trace = local_trace ctx in
-  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
-    "transfer-buffer entries per cluster (local scheduler)"
-    (List.map
-       (fun n ->
-         on ctx (Printf.sprintf "%d entries" n) (fun () ->
-             Machine.run_flat
-               { (Machine.dual_cluster ()) with
-                 Machine.operand_buffer_entries = n;
-                 result_buffer_entries = n }
-               trace))
-       sizes)
-
-let imbalance_threshold ?jobs ?ctx ?max_instrs ?(thresholds = [ 1; 2; 4; 8; 16; 32 ])
-    ?retries ?backoff ?inject_fault ?checkpoint bench =
-  let ctx = get_ctx ?ctx ?max_instrs bench in
-  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
-    "local-scheduler imbalance threshold"
-    (List.map
-       (fun t ->
-         on ctx (Printf.sprintf "threshold %d" t) (fun () ->
-             let c =
-               Pipeline.compile ~profile:ctx.profile
-                 ~scheduler:(Pipeline.Sched_local { imbalance_threshold = t; window = 0 })
-                 ctx.prog
-             in
-             dual (Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach)))
-       thresholds)
-
-let partitioners ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpoint bench
-    =
-  let ctx = get_ctx ?ctx ?max_instrs bench in
-  ignore (local_trace ctx);
-  let trace = function
-    | Pipeline.Sched_none -> ctx.native_trace
-    | Pipeline.Sched_local { imbalance_threshold = 2; window = 0 } -> local_trace ctx
-    | (Pipeline.Sched_local _ | Pipeline.Sched_round_robin | Pipeline.Sched_random _) as
-      scheduler ->
-      let c = Pipeline.compile ~profile:ctx.profile ~scheduler ctx.prog in
-      Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach
-  in
-  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx "live-range partitioner"
-    (List.map
-       (fun (name, scheduler) -> on ctx name (fun () -> dual (trace scheduler)))
-       [ ("none", Pipeline.Sched_none); ("random", Pipeline.Sched_random 7);
-         ("round-robin", Pipeline.Sched_round_robin); ("local", Pipeline.default_local) ])
-
-let global_registers ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpoint
-    bench =
-  let ctx = get_ctx ?ctx ?max_instrs bench in
-  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
-    "global-register designation (native binary)"
-    (List.map
-       (fun (name, globals) ->
-         on ctx name (fun () ->
-             Machine.run_flat
-               { (Machine.dual_cluster ()) with
-                 Machine.assignment = Assignment.create ~num_clusters:2 ~globals () }
-               ctx.native_trace))
-       [ ("no globals", []); ("sp only", [ Mcsim_isa.Reg.sp ]);
-         ("sp+gp (paper)", [ Mcsim_isa.Reg.sp; Mcsim_isa.Reg.gp ]) ])
-
-let dispatch_queue_split ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault
-    ?checkpoint bench =
-  let ctx = get_ctx ?ctx ?max_instrs bench in
-  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
-    "single-cluster dispatch-queue size (cycles vs the 128-entry baseline)"
-    (List.map
-       (fun n ->
-         on ctx (Printf.sprintf "%d entries" n) (fun () ->
-             Machine.run_flat
-               { (Machine.single_cluster ()) with Machine.dq_entries = n }
-               ctx.native_trace))
-       [ 32; 64; 128; 256 ])
 
 let unroll_label factor =
   if factor = 1 then "no unrolling" else Printf.sprintf "unroll x%d" factor
@@ -217,83 +107,156 @@ let unrolled_trace ~max_instrs ~factor prog =
   let c = Pipeline.compile ~profile ~scheduler:Pipeline.default_local prog in
   Walker.trace_flat ~max_instrs c.Pipeline.mach
 
-let unrolling ?jobs ?ctx ?max_instrs ?(factors = [ 1; 2; 4 ]) ?retries ?backoff
-    ?inject_fault ?checkpoint bench =
-  let ctx = get_ctx ?ctx ?max_instrs bench in
-  if List.mem 1 factors then ignore (local_trace ctx);
-  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
-    "loop unrolling before the local scheduler (paper section 6)"
+type kind = {
+  name : string;
+  title : string;  (* the sweep's [sweep_name] *)
+  local : bool;
+  labelled : (string * (ctx -> point)) list;
+}
+
+let kind_name k = k.name
+
+(* A labelled point whose simulation is compared against the context's
+   single-cluster baseline. *)
+let vs_single label run =
+  (label, fun ctx -> point_of ~single_cycles:ctx.single_cycles label (run ctx))
+
+(* The dual-cluster machine, adjusted by [f], on the local-scheduler
+   trace. *)
+let local_dual f ctx = Machine.run_flat (f (Machine.dual_cluster ())) (local_trace ctx)
+
+(* A sweep of [labelled] points. [local] (default: true) says a point
+   may read [local_trace], so [run_on] forces it before fanning out;
+   only a sweep that never reads it may pass [false]. *)
+let kind ?(local = true) name title labelled = { name; title; local; labelled }
+
+let unroll =
+  kind "unroll" "loop unrolling before the local scheduler (paper section 6)"
     (List.map
        (fun factor ->
-         on ctx (unroll_label factor) (fun () ->
+         vs_single (unroll_label factor) (fun ctx ->
              dual
                (if factor = 1 then local_trace ctx
                   (* unroll x1 is the identity: this is exactly the
                      local-scheduler binary the context already holds *)
                 else unrolled_trace ~max_instrs:ctx.max_instrs ~factor ctx.prog)))
-       factors)
+       [ 1; 2; 4 ])
 
-let memory_latency ?jobs ?ctx ?max_instrs ?(latencies = [ 4; 8; 16; 32; 64 ]) ?retries
-    ?backoff ?inject_fault ?checkpoint bench =
-  let ctx = get_ctx ?ctx ?max_instrs bench in
-  let trace = local_trace ctx in
-  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
-    "memory fetch latency (local scheduler, matched baselines)"
-    (List.map
-       (fun lat ->
-         let label =
-           Printf.sprintf "%d-cycle memory%s" lat (if lat = 16 then " (paper)" else "")
-         in
-         let cache =
-           { Mcsim_cache.Cache.default_config with Mcsim_cache.Cache.miss_latency = lat }
-         in
-         ( label,
-           fun () ->
-             (* Rebase the comparison on a single-cluster machine with the same
-                memory so the sweep isolates the latency, not the baseline. *)
-             let single =
+let kinds =
+  [ kind "buffers" "transfer-buffer entries per cluster (local scheduler)"
+      (List.map
+         (fun n ->
+           vs_single (Printf.sprintf "%d entries" n)
+             (local_dual (fun c ->
+                  { c with
+                    Machine.operand_buffer_entries = n;
+                    result_buffer_entries = n })))
+         [ 2; 4; 8; 16; 32 ]);
+    kind ~local:false "threshold" "local-scheduler imbalance threshold"
+      (List.map
+         (fun t ->
+           vs_single (Printf.sprintf "threshold %d" t) (fun ctx ->
+               dual
+                 (compiled_trace ctx
+                    (Pipeline.Sched_local { imbalance_threshold = t; window = 0 }))))
+         [ 1; 2; 4; 8; 16; 32 ]);
+    kind "partitioners" "live-range partitioner"
+      [ vs_single "none" (fun ctx -> dual ctx.native_trace);
+        vs_single "random" (fun ctx -> dual (compiled_trace ctx (Pipeline.Sched_random 7)));
+        vs_single "round-robin" (fun ctx ->
+            dual (compiled_trace ctx Pipeline.Sched_round_robin));
+        vs_single "local" (local_dual Fun.id) ];
+    kind ~local:false "globals" "global-register designation (native binary)"
+      (List.map
+         (fun (label, globals) ->
+           vs_single label (fun ctx ->
                Machine.run_flat
-                 { (Machine.single_cluster ()) with Machine.icache = cache; dcache = cache }
-                 ctx.native_trace
-             in
-             point_of ~single_cycles:single.Machine.cycles label
-               (Machine.run_flat
-                  { (Machine.dual_cluster ()) with Machine.icache = cache; dcache = cache }
-                  trace) ))
-       latencies)
+                 { (Machine.dual_cluster ()) with
+                   Machine.assignment = Assignment.create ~num_clusters:2 ~globals () }
+                 ctx.native_trace))
+         [ ("no globals", []); ("sp only", [ Mcsim_isa.Reg.sp ]);
+           ("sp+gp (paper)", [ Mcsim_isa.Reg.sp; Mcsim_isa.Reg.gp ]) ]);
+    kind ~local:false "dq"
+      "single-cluster dispatch-queue size (cycles vs the 128-entry baseline)"
+      (List.map
+         (fun n ->
+           vs_single (Printf.sprintf "%d entries" n) (fun ctx ->
+               Machine.run_flat
+                 { (Machine.single_cluster ()) with Machine.dq_entries = n }
+                 ctx.native_trace))
+         [ 32; 64; 128; 256 ]);
+    unroll;
+    kind "queues" "dispatch-queue organization (single queue vs per-class queues)"
+      (List.map
+         (fun (label, split, entries) ->
+           vs_single label
+             (local_dual (fun c ->
+                  { c with Machine.queue_split = split; dq_entries = entries })))
+         [ ("unified 64 (paper)", Machine.Unified, 64);
+           ("split 32/16/16 (R10000-style)", Machine.Per_class, 64);
+           ("unified 32", Machine.Unified, 32);
+           ("split 16/8/8", Machine.Per_class, 32) ]);
+    kind "memory" "memory fetch latency (local scheduler, matched baselines)"
+      (List.map
+         (fun lat ->
+           let label =
+             Printf.sprintf "%d-cycle memory%s" lat (if lat = 16 then " (paper)" else "")
+           in
+           let cache = { Cache.default_config with Cache.miss_latency = lat } in
+           ( label,
+             fun ctx ->
+               (* Rebase the comparison on a single-cluster machine with the same
+                  memory so the sweep isolates the latency, not the baseline. *)
+               let memory c = { c with Machine.icache = cache; dcache = cache } in
+               let single =
+                 Machine.run_flat (memory (Machine.single_cluster ())) ctx.native_trace
+               in
+               point_of ~single_cycles:single.Machine.cycles label
+                 (local_dual memory ctx) ))
+         [ 4; 8; 16; 32; 64 ]);
+    kind "mshrs" "data-cache miss-handling entries (Farkas & Jouppi, ISCA'94)"
+      (List.map
+         (fun (label, mshrs) ->
+           vs_single label
+             (local_dual (fun c ->
+                  { c with Machine.dcache = { Cache.default_config with Cache.mshrs } })))
+         [ ("1 MSHR (blocking-ish)", Some 1); ("2 MSHRs", Some 2); ("4 MSHRs", Some 4);
+           ("8 MSHRs", Some 8); ("inverted MSHR (paper)", None) ]) ]
 
-let mshr_entries ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpoint bench
-    =
-  let ctx = get_ctx ?ctx ?max_instrs bench in
-  let trace = local_trace ctx in
-  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
-    "data-cache miss-handling entries (Farkas & Jouppi, ISCA'94)"
-    (List.map
-       (fun (label, mshrs) ->
-         on ctx label (fun () ->
-             let dcache = { Mcsim_cache.Cache.default_config with Mcsim_cache.Cache.mshrs } in
-             Machine.run_flat { (Machine.dual_cluster ()) with Machine.dcache } trace))
-       [ ("1 MSHR (blocking-ish)", Some 1); ("2 MSHRs", Some 2); ("4 MSHRs", Some 4);
-         ("8 MSHRs", Some 8); ("inverted MSHR (paper)", None) ])
+(* Every sweep fans its points out through here, on
+   {!Checkpoint.map}: one durable unit per point, keyed by label. The
+   checkpoint identity is the sweep name, benchmark, trace budget and
+   exact label set (the labels encode the swept parameter values), plus
+   the mcsim version via the manifest — anything else that could change
+   a point's value changes one of those. *)
+let run_on ?(jobs = Pool.default_jobs ()) ?retries ?inject_fault ?checkpoint ctx kind =
+  if kind.local then ignore (local_trace ctx);
+  let store =
+    Option.map
+      (fun dir ->
+        let manifest =
+          Mcsim_obs.Manifest.make ~benchmark:ctx.bench_name ~trace_instrs:ctx.max_instrs
+            (Machine.dual_cluster ())
+        in
+        let extra =
+          [ ("sweep", Json.String kind.title);
+            ("labels", Json.List (List.map (fun (l, _) -> Json.String l) kind.labelled)) ]
+        in
+        Checkpoint.open_ ~dir ~kind:"ablation" ~manifest ~extra ())
+      checkpoint
+  in
+  { sweep_name = kind.title;
+    benchmark = ctx.bench_name;
+    points =
+      Checkpoint.map ?retries ?inject_fault ~jobs store ~key:fst ~encode:point_json
+        ~decode:(fun _ -> point_of_json)
+        (fun (_, point) -> point ctx)
+        kind.labelled }
 
-let queue_organization ?jobs ?ctx ?max_instrs ?retries ?backoff ?inject_fault ?checkpoint
-    bench =
-  let ctx = get_ctx ?ctx ?max_instrs bench in
-  let trace = local_trace ctx in
-  run_on ?jobs ?retries ?backoff ?inject_fault ?checkpoint ctx
-    "dispatch-queue organization (single queue vs per-class queues)"
-    (List.map
-       (fun (label, split, entries) ->
-         on ctx label (fun () ->
-             Machine.run_flat
-               { (Machine.dual_cluster ()) with
-                 Machine.queue_split = split;
-                 dq_entries = entries }
-               trace))
-       [ ("unified 64 (paper)", Machine.Unified, 64);
-         ("split 32/16/16 (R10000-style)", Machine.Per_class, 64);
-         ("unified 32", Machine.Unified, 32);
-         ("split 16/8/8", Machine.Per_class, 32) ])
+let run ?jobs ?ctx ?max_instrs ?retries ?inject_fault ?checkpoint kind bench =
+  run_on ?jobs ?retries ?inject_fault ?checkpoint
+    (match ctx with Some c -> c | None -> make_ctx ?max_instrs bench)
+    kind
 
 (* A hand-written streaming kernel whose iterations are fully independent
    (only the trivial induction variable is loop-carried): the code shape
@@ -332,26 +295,10 @@ let stream_kernel ~trip =
   in
   Builder.finish b ~entry
 
-let unrolling_kernel ?jobs ?(max_instrs = 40_000) ?(factors = [ 1; 2; 4 ]) ?retries
-    ?backoff ?inject_fault ?checkpoint () =
-  let prog = stream_kernel ~trip:20_000 in
-  let native =
-    Pipeline.compile ~profile:(Walker.profile prog) ~scheduler:Pipeline.Sched_none prog
-  in
-  let single =
-    Machine.run_flat (Machine.single_cluster ())
-      (Walker.trace_flat ~max_instrs native.Pipeline.mach)
-  in
-  run_points ?jobs ?retries ?backoff ?inject_fault ?checkpoint ~benchmark:"stream"
-    ~max_instrs "loop unrolling on an unroll-friendly streaming kernel"
-    (List.map
-       (fun factor ->
-         let label = unroll_label factor in
-         ( label,
-           fun () ->
-             point_of ~single_cycles:single.Machine.cycles label
-               (dual (unrolled_trace ~max_instrs ~factor prog)) ))
-       factors)
+let unrolling_kernel ?jobs ?(max_instrs = 40_000) ?retries ?inject_fault ?checkpoint () =
+  run_on ?jobs ?retries ?inject_fault ?checkpoint
+    (ctx_of ~max_instrs ~bench_name:"stream" (stream_kernel ~trip:20_000))
+    { unroll with title = "loop unrolling on an unroll-friendly streaming kernel" }
 
 let render s =
   let header = [ "point"; "cycles"; "vs single"; "replays"; "dual-dist" ] in

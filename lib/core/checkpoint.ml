@@ -109,13 +109,13 @@ let merge l fresh =
          | None, [] -> assert false)
        fresh l.cached)
 
-let fill ?retries ?backoff ?inject_fault ~jobs f l =
+let fill ?retries ?inject_fault ~jobs f l =
   let run u =
     let y = f u in
     record_all l u y;
     y
   in
-  merge l (Pool.parallel_map_status ?retries ?backoff ?inject_fault ~jobs run (misses l))
+  merge l (Pool.parallel_map_status ?retries ?inject_fault ~jobs run (misses l))
 
 let fill_with run l =
   match misses l with
@@ -127,12 +127,12 @@ let fill_with run l =
       misses fresh;
     merge l fresh
 
-let map ?retries ?backoff ?inject_fault ~jobs ck ~key ~encode ~decode f units =
+let map ?retries ?inject_fault ~jobs ck ~key ~encode ~decode f units =
   let stores, unit = stores ck ~key in
   Pool.values
-    (fill ?retries ?backoff ?inject_fault ~jobs f (lookup stores ~unit ~encode ~decode units))
+    (fill ?retries ?inject_fault ~jobs f (lookup stores ~unit ~encode ~decode units))
 
-let map_matrix ?retries ?backoff ?inject_fault ~jobs ck ~key ~encode ~decode ~prepare f
+let map_matrix ?retries ?inject_fault ~jobs ck ~key ~encode ~decode ~prepare f
     groups points =
   let groups = Array.of_list groups in
   let stores, unit = stores ck ~key:(fun (i, p) -> key groups.(i) p) in
@@ -153,13 +153,13 @@ let map_matrix ?retries ?backoff ?inject_fault ~jobs ck ~key ~encode ~decode ~pr
   List.iter2
     (fun i p -> preps.(i) <- Some p)
     todo
-    (Pool.parallel_map ?retries ?backoff ?inject_fault ~jobs
+    (Pool.parallel_map ?retries ?inject_fault ~jobs
        (fun i -> prepare groups.(i))
        todo);
   (* Stage 2: one job per missing unit. *)
   let outs =
     Pool.values
-      (fill ?retries ?backoff ?inject_fault ~jobs (fun (i, p) -> f (Option.get preps.(i)) p) l)
+      (fill ?retries ?inject_fault ~jobs (fun (i, p) -> f (Option.get preps.(i)) p) l)
   in
   let n = List.length points in
   List.init (Array.length groups) (fun i -> List.filteri (fun j _ -> j / n = i) outs)

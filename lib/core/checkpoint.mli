@@ -101,7 +101,6 @@ val stores :
 
 val fill :
   ?retries:int ->
-  ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
   jobs:int ->
   ('a -> 'b) ->
@@ -121,7 +120,6 @@ val fill_with :
 
 val map :
   ?retries:int ->
-  ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
   jobs:int ->
   t option ->
@@ -137,7 +135,6 @@ val map :
 
 val map_matrix :
   ?retries:int ->
-  ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
   jobs:int ->
   t option ->

@@ -1,11 +1,9 @@
 module Machine = Mcsim_cluster.Machine
 module Interconnect = Mcsim_cluster.Interconnect
 module Pipeline = Mcsim_compiler.Pipeline
-module Walker = Mcsim_trace.Walker
 module Spec92 = Mcsim_workload.Spec92
 module Palacharla = Mcsim_timing.Palacharla
 module Net = Mcsim_timing.Net_performance
-module Pool = Mcsim_util.Pool
 
 type cell = {
   clusters : int;
@@ -38,47 +36,24 @@ let config_for ?topology n = Machine.config_for_clusters ?topology n
 module Json = Mcsim_obs.Json
 
 let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?retries
-    ?backoff ?inject_fault ?checkpoint () =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let store =
-    Option.map
-      (fun dir ->
-        let manifest =
-          Mcsim_obs.Manifest.make ~seed
-            ~benchmark:(String.concat "," (List.map Spec92.name benchmarks))
-            ~trace_instrs:max_instrs (config_for 1)
-        in
-        let extra =
-          [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
-            ( "topologies",
-              Json.List
-                (List.map (fun t -> Json.String (Interconnect.to_string t)) Interconnect.all)
-            ) ]
-        in
-        Checkpoint.open_ ~dir ~kind:"clusters" ~manifest ~extra ())
-      checkpoint
-  in
-  (* One job per benchmark with a cell left to run (program + profile),
-     then one durable unit per missing (benchmark x cluster count x
-     topology); each compiles, traces and simulates independently from
-     the shared immutable profile, so the rows are the same for every
-     [jobs]. *)
+    ?inject_fault ?checkpoint () =
   let results =
-    Checkpoint.map_matrix ?retries ?backoff ?inject_fault ~jobs store
-      ~key:(fun b (clusters, topology) ->
-        Printf.sprintf "%s/%d/%s" (Spec92.name b) clusters (Interconnect.to_string topology))
-      ~encode:Checkpoint.result_fields
-      ~decode:(fun _ _ -> Checkpoint.result_of_fields)
-      ~prepare:(fun b ->
-        let prog = Spec92.program b in
-        (prog, Walker.profile ~seed prog))
-      (fun (prog, profile) (clusters, topology) ->
-        let scheduler =
-          if clusters = 1 then Pipeline.Sched_none else Pipeline.default_local
-        in
-        let c = Pipeline.compile ~clusters ~profile ~scheduler prog in
-        let trace = Walker.trace_flat ~seed ~max_instrs c.Pipeline.mach in
-        Machine.run_flat (config_for ~topology clusters) trace)
+    Experiment.run_cells ?jobs ?retries ?inject_fault ?checkpoint ~kind:"clusters"
+      ~config:(config_for 1)
+      ~extra:
+        [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
+          ( "topologies",
+            Json.List
+              (List.map
+                 (fun t -> Json.String (Interconnect.to_string t))
+                 Interconnect.all) ) ]
+      ~seed ~max_instrs
+      ~key:(fun (clusters, topology) ->
+        Printf.sprintf "%d/%s" clusters (Interconnect.to_string topology))
+      ~cell:(fun (clusters, topology) ->
+        ( clusters,
+          (if clusters = 1 then Pipeline.Sched_none else Pipeline.default_local),
+          config_for ~topology clusters ))
       benchmarks matrix_points
   in
   List.map2

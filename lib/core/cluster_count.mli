@@ -39,21 +39,21 @@ val config_for : ?topology:Mcsim_cluster.Interconnect.topology -> int -> Mcsim_c
 val run :
   ?jobs:int -> ?max_instrs:int -> ?seed:int ->
   ?benchmarks:Mcsim_workload.Spec92.benchmark list ->
-  ?retries:int -> ?backoff:(int -> float) ->
+  ?retries:int ->
   ?inject_fault:(job:int -> attempt:int -> bool) -> ?checkpoint:string ->
   unit -> row list
-(** [jobs] (default {!Mcsim_util.Pool.default_jobs}) fans the
-    independent (benchmark × clusters × topology) compilations and
-    simulations out over that many domains; the rows are identical for
-    every [jobs] value.
+(** The (benchmark × {!matrix_points}) cells on {!Experiment.run_cells}
+    (kind ["clusters"], identity config [config_for 1]): [jobs]
+    (default {!Mcsim_util.Pool.default_jobs}) fans the independent
+    compilations and simulations out over that many domains, and the
+    rows are identical for every [jobs] value.
 
-    [retries]/[backoff]/[inject_fault] are forwarded to
-    {!Checkpoint.map_matrix}; with [checkpoint], every completed
-    (benchmark, clusters, topology) cell is durably recorded in that
-    directory and skipped on rerun, so an interrupted sweep resumes
-    with identical rows. A directory from a different sweep (seed,
-    benchmarks, trace budget or machine config) is refused with
-    [Failure]. *)
+    [retries]/[inject_fault] are the executor's durability knobs; with
+    [checkpoint], every completed (benchmark, clusters, topology) cell
+    is durably recorded in that directory and skipped on rerun, so an
+    interrupted sweep resumes with identical rows. A directory from a
+    different sweep (seed, benchmarks, trace budget or machine config)
+    is refused with [Failure]. *)
 
 val find_cell :
   row -> clusters:int -> topology:Mcsim_cluster.Interconnect.topology -> cell option

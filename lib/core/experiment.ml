@@ -4,6 +4,7 @@ module Pipeline = Mcsim_compiler.Pipeline
 module Walker = Mcsim_trace.Walker
 module Pool = Mcsim_util.Pool
 module Sampling = Mcsim_sampling.Sampling
+module Spec92 = Mcsim_workload.Spec92
 
 type run = {
   scheduler : string;
@@ -59,11 +60,12 @@ let trace_key ~clusters ~seed ~max_instrs ~benchmark scheduler =
     seed;
     max_instrs }
 
-(* The committed trace of [prog]'s binary under [scheduler]: from the
-   trace store when present there, otherwise walked (and saved). Keyed by
+(* The committed trace of the binary [compile] produces: from the trace
+   store when present there, otherwise walked (and saved). Keyed by
    benchmark name — the store assumes a name identifies one program. *)
-let trace_of ~trace_store ~clusters ~seed ~max_instrs ~benchmark ~scheduler walk =
-  match trace_store with
+let trace store ~clusters ~seed ~max_instrs ~benchmark scheduler compile =
+  let walk () = Walker.trace_flat ~seed ~max_instrs (compile ()).Pipeline.mach in
+  match store with
   | None -> walk ()
   | Some store ->
     fst
@@ -75,9 +77,8 @@ let make_prep ?trace_store ~clusters ~seed ~max_instrs prog =
   let profile = Walker.profile ~seed prog in
   let native = Pipeline.compile ~clusters ~profile ~scheduler:Pipeline.Sched_none prog in
   let native_trace =
-    trace_of ~trace_store ~clusters ~seed ~max_instrs
-      ~benchmark:prog.Mcsim_ir.Program.name ~scheduler:Pipeline.Sched_none (fun () ->
-        Walker.trace_flat ~seed ~max_instrs native.Pipeline.mach)
+    trace trace_store ~clusters ~seed ~max_instrs ~benchmark:prog.Mcsim_ir.Program.name
+      Pipeline.Sched_none (fun () -> native)
   in
   { p_prog = prog; p_profile = profile; p_native = native; p_native_trace = native_trace }
 
@@ -108,19 +109,14 @@ let run_sim ~clusters ~seed ~max_instrs ~engine ~sampling ~single_config ~dual_c
     Out_single (simulate ~engine ~sampling single_config (prep_of i).p_native_trace)
   | Sim_sched (i, (name, scheduler)) ->
     let prep = prep_of i in
-    let compiled =
+    let compiled, trace =
       match scheduler with
-      | Pipeline.Sched_none -> prep.p_native
+      | Pipeline.Sched_none -> (prep.p_native, prep.p_native_trace)
       | Pipeline.Sched_local _ | Pipeline.Sched_round_robin | Pipeline.Sched_random _ ->
-        Pipeline.compile ~clusters ~profile:prep.p_profile ~scheduler prep.p_prog
-    in
-    let trace =
-      match scheduler with
-      | Pipeline.Sched_none -> prep.p_native_trace
-      | Pipeline.Sched_local _ | Pipeline.Sched_round_robin | Pipeline.Sched_random _ ->
-        trace_of ~trace_store ~clusters ~seed ~max_instrs
-          ~benchmark:prep.p_prog.Mcsim_ir.Program.name ~scheduler (fun () ->
-            Walker.trace_flat ~seed ~max_instrs compiled.Pipeline.mach)
+        let c = Pipeline.compile ~clusters ~profile:prep.p_profile ~scheduler prep.p_prog in
+        ( c,
+          trace trace_store ~clusters ~seed ~max_instrs
+            ~benchmark:prep.p_prog.Mcsim_ir.Program.name scheduler (fun () -> c) )
     in
     let dual = simulate ~engine ~sampling dual_config trace in
     let static_single, static_dual =
@@ -148,8 +144,7 @@ let key_meta name = name ^ "/meta"
 let key_single name = name ^ "/single"
 let key_sched name sname = name ^ "/sched/" ^ sname
 
-let open_store ~dir ~seed ~max_instrs ~engine ~sampling ~schedulers ~single_config
-    ~dual_config progs =
+let open_store ~dir ~seed ~max_instrs ~engine ~sampling ~single_config ~dual_config progs =
   let manifest =
     Mcsim_obs.Manifest.make ?engine ~seed ?sampling
       ~benchmark:
@@ -160,7 +155,7 @@ let open_store ~dir ~seed ~max_instrs ~engine ~sampling ~schedulers ~single_conf
      trace budget; everything else that changes the rows goes in here. *)
   let extra =
     [ ("single_config", Json.String (Mcsim_obs.Manifest.config_description single_config));
-      ("schedulers", Json.List (List.map (fun (n, _) -> Json.String n) schedulers));
+      ("schedulers", Json.List (List.map (fun (n, _) -> Json.String n) default_schedulers));
       ("sampling_seed",
        match sampling with
        | Some p -> Json.Int p.Sampling.seed
@@ -222,8 +217,8 @@ let comparison_of ~benchmark ~trace_instrs = function
    instead of aborting the sweep, and with [checkpoint] every completed
    unit is stored and never recomputed. *)
 let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(seed = 1)
-    ?(schedulers = default_schedulers) ?engine ?sampling ?single_config ?dual_config
-    ?(retries = 0) ?backoff ?inject_fault ?checkpoint ?trace_cache progs =
+    ?engine ?sampling ?single_config ?dual_config ?(retries = 0) ?inject_fault ?checkpoint
+    ?trace_cache progs =
   let single_config =
     match single_config with Some c -> c | None -> Machine.single_cluster ()
   in
@@ -234,8 +229,8 @@ let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(see
   let ck =
     Option.map
       (fun dir ->
-        open_store ~dir ~seed ~max_instrs ~engine ~sampling ~schedulers ~single_config
-          ~dual_config progs)
+        open_store ~dir ~seed ~max_instrs ~engine ~sampling ~single_config ~dual_config
+          progs)
       checkpoint
   in
   let names = Array.of_list (List.map (fun p -> p.Mcsim_ir.Program.name) progs) in
@@ -244,7 +239,8 @@ let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(see
     Checkpoint.lookup stores ~unit ~encode:out_fields ~decode:out_of_fields
       (List.concat
          (List.mapi
-            (fun i _ -> Sim_single i :: List.map (fun s -> Sim_sched (i, s)) schedulers)
+            (fun i _ ->
+              Sim_single i :: List.map (fun s -> Sim_sched (i, s)) default_schedulers)
             progs))
   in
   let has_miss i =
@@ -264,7 +260,7 @@ let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(see
       (List.mapi (fun i p -> (i, p)) progs)
   in
   let preps =
-    Checkpoint.fill ~retries ?backoff ?inject_fault ~jobs
+    Checkpoint.fill ~retries ?inject_fault ~jobs
       (fun (_, prog) ->
         let p = make_prep ?trace_store ~clusters ~seed ~max_instrs prog in
         (Flat_trace.length p.p_native_trace, Some p))
@@ -290,7 +286,7 @@ let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(see
   in
   let outs =
     List.combine (List.map fst sims.cached)
-      (Checkpoint.fill ~retries ?backoff ?inject_fault ~jobs
+      (Checkpoint.fill ~retries ?inject_fault ~jobs
          (run_sim ~clusters ~seed ~max_instrs ~engine ~sampling ~single_config ~dual_config
             ~trace_store prep_of)
          sims)
@@ -312,21 +308,40 @@ let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(see
 
 (* As if the sweep had run serially: the first failing benchmark's
    exception propagates with its original backtrace. *)
-let run_many ?jobs ?max_instrs ?seed ?schedulers ?engine ?sampling ?single_config
-    ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache progs =
-  Pool.values
-    (run_many_status ?jobs ?max_instrs ?seed ?schedulers ?engine ?sampling ?single_config
-       ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache progs)
+let run_many ?jobs ?max_instrs ?seed ?sampling progs =
+  Pool.values (run_many_status ?jobs ?max_instrs ?seed ?sampling progs)
 
-let run_benchmark ?(max_instrs = 120_000) ?(seed = 1)
-    ?(schedulers = default_schedulers) ?engine ?sampling ?single_config ?dual_config
-    ?trace_cache prog =
-  match
-    run_many ~jobs:1 ~max_instrs ~seed ~schedulers ?engine ?sampling ?single_config
-      ?dual_config ?trace_cache [ prog ]
-  with
-  | [ c ] -> c
-  | _ -> assert false
+(* ------------------------------------------------------------------ *)
+(* Cell matrices                                                       *)
+(* ------------------------------------------------------------------ *)
 
-let speedup_of c name =
-  List.find_map (fun r -> if r.scheduler = name then Some r.speedup_pct else None) c.runs
+let run_cells ?(jobs = Pool.default_jobs ()) ?retries ?inject_fault ?checkpoint ~kind
+    ~config ~extra ~seed ~max_instrs ~key ~cell benchmarks points =
+  let store =
+    Option.map
+      (fun dir ->
+        let manifest =
+          Mcsim_obs.Manifest.make ~seed
+            ~benchmark:(String.concat "," (List.map Spec92.name benchmarks))
+            ~trace_instrs:max_instrs config
+        in
+        Checkpoint.open_ ~dir ~kind ~manifest ~extra ())
+      checkpoint
+  in
+  (* One job per benchmark with a cell left to run (program + profile),
+     then one per missing cell; each compiles, traces and simulates
+     independently from the shared immutable profile, so the rows are
+     the same for every [jobs]. *)
+  Checkpoint.map_matrix ?retries ?inject_fault ~jobs store
+    ~key:(fun b p -> Spec92.name b ^ "/" ^ key p)
+    ~encode:Checkpoint.result_fields
+    ~decode:(fun _ _ -> Checkpoint.result_of_fields)
+    ~prepare:(fun b ->
+      let prog = Spec92.program b in
+      (prog, Walker.profile ~seed prog))
+    (fun (prog, profile) p ->
+      let clusters, scheduler, cfg = cell p in
+      Machine.run_flat cfg
+        (trace None ~clusters ~seed ~max_instrs ~benchmark:prog.Mcsim_ir.Program.name
+           scheduler (fun () -> Pipeline.compile ~clusters ~profile ~scheduler prog)))
+    benchmarks points

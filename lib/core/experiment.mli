@@ -2,13 +2,19 @@
 
     For one benchmark program: profile it, produce the {e native} binary
     (cluster-oblivious allocation) and one {e rescheduled} binary per
-    requested scheduler, generate the committed traces, and run
+    scheduler of {!default_schedulers}, generate the committed traces,
+    and run
 
     - the native binary on the single-cluster machine (the baseline),
     - each binary on the dual-cluster machine,
 
     reporting the paper's percentage speedup/slowdown metric
-    [100 - 100 * (C_dual / C_single)] per scheduler. *)
+    [100 - 100 * (C_dual / C_single)] per scheduler
+    ({!run_many_status}, the engine of Table 2).
+
+    It also owns what the other trace-driven sweeps share: the one
+    read-or-walk trace path ({!trace}) and the cell runner
+    {!run_cells} behind the steer and cluster-count matrices. *)
 
 type run = {
   scheduler : string;  (** "none", "local", ... *)
@@ -23,7 +29,7 @@ type comparison = {
   benchmark : string;
   trace_instrs : int;
   single : Mcsim_cluster.Machine.result;  (** native on the single-cluster machine *)
-  runs : run list;  (** one per scheduler, in request order *)
+  runs : run list;  (** one per {!default_schedulers} entry, in order *)
 }
 
 val default_schedulers : (string * Mcsim_compiler.Pipeline.scheduler) list
@@ -45,35 +51,38 @@ val scheduler_ident_n : clusters:int -> Mcsim_compiler.Pipeline.scheduler -> str
     {!scheduler_ident}, so historical trace-store entries keep their
     keys. *)
 
-val trace_key :
+val trace :
+  Trace_store.t option ->
   clusters:int ->
   seed:int ->
   max_instrs:int ->
   benchmark:string ->
   Mcsim_compiler.Pipeline.scheduler ->
-  Trace_store.key
-(** The {!Trace_store} key of [benchmark]'s committed trace, compiled
+  (unit -> Mcsim_compiler.Pipeline.compiled) ->
+  Mcsim_isa.Flat_trace.t
+(** The committed trace of [benchmark]'s binary [compile ()], compiled
     by [scheduler] for [clusters] clusters and walked with [seed] up to
-    [max_instrs] instructions. Every path that caches a compiled trace
-    (this module's sweeps, the serve layer's runs) addresses it through
-    here, so they share entries. *)
+    [max_instrs] instructions. With a store it is memory-mapped from
+    there when present, otherwise walked and saved; [compile] runs only
+    when the trace is walked. Every path that caches a compiled trace
+    (this module's sweeps, the serve layer's runs) reads it through
+    here, under the key {!Trace_store.key} of [benchmark], seed, budget
+    and {!scheduler_ident_n}, so they share entries. *)
 
-val run_many :
+val run_many_status :
   ?jobs:int ->
   ?max_instrs:int ->
   ?seed:int ->
-  ?schedulers:(string * Mcsim_compiler.Pipeline.scheduler) list ->
   ?engine:Mcsim_cluster.Machine.engine ->
   ?sampling:Mcsim_sampling.Sampling.policy ->
   ?single_config:Mcsim_cluster.Machine.config ->
   ?dual_config:Mcsim_cluster.Machine.config ->
   ?retries:int ->
-  ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
   ?checkpoint:string ->
   ?trace_cache:string ->
   Mcsim_ir.Program.t list ->
-  comparison list
+  comparison Mcsim_util.Pool.status list
 (** Run the flow for many benchmarks, fanning the independent
     (benchmark × scheduler × machine-config) simulations out over
     [jobs] domains (default {!Mcsim_util.Pool.default_jobs}; [~jobs:1]
@@ -86,20 +95,23 @@ val run_many :
     extrapolations. Traces must be long enough for two complete sampling
     units (@raise Invalid_argument otherwise).
 
-    [retries], [backoff] and [inject_fault] are per-unit durability
-    knobs, forwarded to {!Mcsim_util.Pool.parallel_map_status}; a
-    benchmark whose retries are exhausted raises its last exception
-    after the rest of the sweep has finished (use {!run_many_status}
-    for graceful degradation instead).
+    [retries] and [inject_fault] are per-unit durability knobs,
+    forwarded to {!Mcsim_util.Pool.parallel_map_status}. Failure
+    degrades to data: a benchmark with a unit that exhausted its
+    retries is [Failed] with that unit's failure (its exception and
+    attempt count; render it with {!Mcsim_util.Pool.failure_message})
+    instead of aborting the sweep.
 
     [checkpoint] names a durable {!Checkpoint} directory: every
     completed unit (per-benchmark preparation metadata, the
     single-cluster baseline, each scheduler's dual run) is recorded
     there as it finishes and skipped on the next call, so an
-    interrupted sweep resumes where it died and returns exactly what
-    the uninterrupted sweep would have. A directory written by a
-    different sweep (config, seed, engine, sampling, schedulers,
-    benchmark set or trace budget) is refused with [Failure].
+    interrupted sweep resumes where it died (only failed units rerun)
+    and returns exactly what the uninterrupted sweep would have. A
+    directory written by a different sweep (config, seed, engine,
+    sampling, benchmark set or trace budget) is refused with [Failure].
+    The identity also records the scheduler names of
+    {!default_schedulers}, the two the sweep runs.
 
     Determinism: every simulation derives all randomness from [seed]
     (and, under [sampling], the policy's own seed) plus its task
@@ -116,45 +128,44 @@ val run_many :
     byte-identical to freshly walked ones, so results are unchanged —
     the store assumes a benchmark name denotes one program. *)
 
-val run_many_status :
+val run_many :
   ?jobs:int ->
   ?max_instrs:int ->
   ?seed:int ->
-  ?schedulers:(string * Mcsim_compiler.Pipeline.scheduler) list ->
-  ?engine:Mcsim_cluster.Machine.engine ->
   ?sampling:Mcsim_sampling.Sampling.policy ->
-  ?single_config:Mcsim_cluster.Machine.config ->
-  ?dual_config:Mcsim_cluster.Machine.config ->
+  Mcsim_ir.Program.t list ->
+  comparison list
+(** {!run_many_status} on the paper's machine pair, as if the sweep had
+    run serially: the first failed benchmark's exception propagates,
+    with its original backtrace, once the rest of the sweep has
+    finished. *)
+
+val run_cells :
+  ?jobs:int ->
   ?retries:int ->
-  ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
   ?checkpoint:string ->
-  ?trace_cache:string ->
-  Mcsim_ir.Program.t list ->
-  comparison Mcsim_util.Pool.status list
-(** {!run_many}, degrading failure to data: a benchmark with a unit
-    that exhausted its retries is [Failed] with that unit's failure
-    (its exception and attempt count; render it with
-    {!Mcsim_util.Pool.failure_message}) instead of aborting the sweep,
-    and with [checkpoint] its completed units remain recorded so only
-    the failed ones rerun on resume. {!run_many} is {!Mcsim_util.Pool.values}
-    of this. *)
+  kind:string ->
+  config:Mcsim_cluster.Machine.config ->
+  extra:(string * Mcsim_obs.Json.t) list ->
+  seed:int ->
+  max_instrs:int ->
+  key:('c -> string) ->
+  cell:('c -> int * Mcsim_compiler.Pipeline.scheduler * Mcsim_cluster.Machine.config) ->
+  Mcsim_workload.Spec92.benchmark list ->
+  'c list ->
+  Mcsim_cluster.Machine.result list list
+(** The [benchmarks × cells] matrix of a sweep whose every cell is one
+    compile, walk and simulation, as [mcsim steer] and [mcsim clusters]
+    run: [cell c] is [(clusters, scheduler, config)] — the benchmark's
+    program compiled by [scheduler] for [clusters] clusters, walked
+    with [seed] up to [max_instrs] instructions and run on [config].
+    One result list per benchmark, cells in order.
 
-val run_benchmark :
-  ?max_instrs:int ->
-  ?seed:int ->
-  ?schedulers:(string * Mcsim_compiler.Pipeline.scheduler) list ->
-  ?engine:Mcsim_cluster.Machine.engine ->
-  ?sampling:Mcsim_sampling.Sampling.policy ->
-  ?single_config:Mcsim_cluster.Machine.config ->
-  ?dual_config:Mcsim_cluster.Machine.config ->
-  ?trace_cache:string ->
-  Mcsim_ir.Program.t ->
-  comparison
-(** [run_many] for a single benchmark, serially. [max_instrs] (default
-    120_000) bounds the committed trace length; [seed] (default 1)
-    drives the workload's branch outcomes and address streams
-    identically across binaries. *)
-
-val speedup_of : comparison -> string -> float option
-(** Speedup percentage of a named scheduler's run. *)
+    The cells run on {!Checkpoint.map_matrix} over [jobs] domains
+    (default {!Mcsim_util.Pool.default_jobs}): each benchmark with a
+    cell left to run is prepared (program and profile) once, then every
+    missing cell is its own unit; results are identical for every
+    [jobs]. With [checkpoint] the directory's identity is [kind], a
+    manifest of [config], [seed], [max_instrs] and the benchmark list,
+    and [extra]; each cell is recorded under ["BENCHMARK/" ^ key c]. *)

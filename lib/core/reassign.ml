@@ -54,7 +54,7 @@ let build ~trip =
   in
   (Builder.finish b ~entry, shared_a, shared_b, loop_b)
 
-let run ?jobs ?(phase_iterations = 4000) ?retries ?backoff ?inject_fault ?checkpoint ()
+let run ?jobs ?(phase_iterations = 4000) ?retries ?inject_fault ?checkpoint ()
     =
   let prog, sa, sb, loop_b_id = build ~trip:phase_iterations in
   let profile = Mcsim_trace.Walker.profile prog in
@@ -108,7 +108,7 @@ let run ?jobs ?(phase_iterations = 4000) ?retries ?backoff ?inject_fault ?checkp
   in
   let static_result, phased_result =
     match
-      Checkpoint.map ?retries ?backoff ?inject_fault ~jobs store
+      Checkpoint.map ?retries ?inject_fault ~jobs store
         ~key:(function `Static -> "static" | `Phased -> "phased")
         ~encode:Checkpoint.result_fields ~decode:(fun _ -> Checkpoint.result_of_fields)
         (function

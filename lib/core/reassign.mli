@@ -24,7 +24,7 @@ type outcome = {
 
 val run :
   ?jobs:int -> ?phase_iterations:int ->
-  ?retries:int -> ?backoff:(int -> float) ->
+  ?retries:int ->
   ?inject_fault:(job:int -> attempt:int -> bool) -> ?checkpoint:string ->
   unit -> outcome
 (** [phase_iterations] (default 4000) controls each phase's loop trip.
@@ -32,7 +32,7 @@ val run :
     phased simulations on separate domains when > 1; the outcome is
     identical for every [jobs] value.
 
-    [retries]/[backoff]/[inject_fault] are forwarded to
+    [retries]/[inject_fault] are forwarded to
     {!Checkpoint.map}; with [checkpoint], each of the two
     simulations is one durable unit in that directory, reloaded instead
     of rerun when the demo is resumed with the same

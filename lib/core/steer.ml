@@ -2,9 +2,7 @@ module Machine = Mcsim_cluster.Machine
 module Steering = Mcsim_cluster.Steering
 module Interconnect = Mcsim_cluster.Interconnect
 module Pipeline = Mcsim_compiler.Pipeline
-module Walker = Mcsim_trace.Walker
 module Spec92 = Mcsim_workload.Spec92
-module Pool = Mcsim_util.Pool
 
 type cell = {
   scheduler : string;
@@ -45,61 +43,32 @@ let config_for ~topology ~steering n =
   { (Machine.config_for_clusters ~topology n) with Machine.steering }
 
 let run ?jobs ?(max_instrs = 60_000) ?(seed = 1) ?(benchmarks = Spec92.all)
-    ?(topology = Interconnect.Point_to_point) ?retries ?backoff ?inject_fault ?checkpoint
-    () =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let store =
-    Option.map
-      (fun dir ->
-        let manifest =
-          Mcsim_obs.Manifest.make ~seed
-            ~benchmark:(String.concat "," (List.map Spec92.name benchmarks))
-            ~trace_instrs:max_instrs
-            (config_for ~topology ~steering:Steering.Static 2)
-        in
-        let extra =
-          [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
-            ( "schedulers",
-              Json.List
-                (List.map (fun s -> Json.String (Pipeline.scheduler_name s)) schedulers) );
-            ( "steerings",
-              Json.List
-                (List.map (fun p -> Json.String (Steering.to_string p)) Steering.all) ) ]
-        in
-        Checkpoint.open_ ~dir ~kind:"steer" ~manifest ~extra ())
-      checkpoint
-  in
-  (* One job per benchmark with a cell left to run (program + profile),
-     then one per missing matrix cell; each compiles, traces and
-     simulates independently from the shared immutable profile, so the
-     rows are the same for every [jobs]. *)
+    ?(topology = Interconnect.Point_to_point) ?retries ?inject_fault ?checkpoint () =
   let results =
-    Checkpoint.map_matrix ?retries ?backoff ?inject_fault ~jobs store
-      ~key:(fun b (sched, clusters, pol) ->
-        Printf.sprintf "%s/%s/%d/%s" (Spec92.name b) (Pipeline.scheduler_name sched)
-          clusters (Steering.to_string pol))
-      ~encode:Checkpoint.result_fields
-      ~decode:(fun _ _ -> Checkpoint.result_of_fields)
-      ~prepare:(fun b ->
-        let prog = Spec92.program b in
-        (prog, Walker.profile ~seed prog))
-      (fun (prog, profile) (sched, clusters, pol) ->
-        let c = Pipeline.compile ~clusters ~profile ~scheduler:sched prog in
-        let trace = Walker.trace_flat ~seed ~max_instrs c.Pipeline.mach in
-        Machine.run_flat (config_for ~topology ~steering:pol clusters) trace)
+    Experiment.run_cells ?jobs ?retries ?inject_fault ?checkpoint ~kind:"steer"
+      ~config:(config_for ~topology ~steering:Steering.Static 2)
+      ~extra:
+        [ ("cluster_counts", Json.List (List.map (fun c -> Json.Int c) cluster_counts));
+          ( "schedulers",
+            Json.List
+              (List.map (fun s -> Json.String (Pipeline.scheduler_name s)) schedulers) );
+          ( "steerings",
+            Json.List
+              (List.map (fun p -> Json.String (Steering.to_string p)) Steering.all) ) ]
+      ~seed ~max_instrs
+      ~key:(fun (sched, clusters, pol) ->
+        Printf.sprintf "%s/%d/%s" (Pipeline.scheduler_name sched) clusters
+          (Steering.to_string pol))
+      ~cell:(fun (sched, clusters, pol) ->
+        (clusters, sched, config_for ~topology ~steering:pol clusters))
       benchmarks matrix_points
   in
   List.map2
     (fun b results ->
       let paired = List.combine matrix_points results in
       let static_cycles sched clusters =
-        match
-          List.find_opt
-            (fun ((s, n, pol), _) -> s = sched && n = clusters && pol = Steering.Static)
-            paired
-        with
-        | Some (_, (r : Machine.result)) -> r.Machine.cycles
-        | None -> assert false
+        let cell = (sched, clusters, Steering.Static) in
+        (snd (List.find (fun (c, _) -> c = cell) paired)).Machine.cycles
       in
       { benchmark = Spec92.name b;
         cells =
@@ -126,13 +95,10 @@ let find_cell row ~scheduler ~clusters ~steering =
 let scheduler_names = List.map Pipeline.scheduler_name schedulers
 
 let render rows =
-  let policies = Steering.all in
+  let dynamic = List.filter (fun p -> p <> Steering.Static) Steering.all in
   let header =
     "benchmark" :: "sched" :: "clusters" :: "static cyc"
-    :: List.filter_map
-         (fun p ->
-           if p = Steering.Static then None else Some (Steering.to_string p ^ " %"))
-         policies
+    :: List.map (fun p -> Steering.to_string p ^ " %") dynamic
   in
   let body =
     List.concat_map
@@ -141,21 +107,16 @@ let render rows =
           (fun sched ->
             List.map
               (fun n ->
-                let static =
-                  match find_cell r ~scheduler:sched ~clusters:n ~steering:Steering.Static with
-                  | Some c -> string_of_int c.cycles
+                let cell show p =
+                  match find_cell r ~scheduler:sched ~clusters:n ~steering:p with
+                  | Some c -> show c
                   | None -> "-"
                 in
-                r.benchmark :: sched :: string_of_int n :: static
-                :: List.filter_map
-                     (fun p ->
-                       if p = Steering.Static then None
-                       else
-                         Some
-                           (match find_cell r ~scheduler:sched ~clusters:n ~steering:p with
-                           | Some c -> Printf.sprintf "%+.1f" c.vs_static_pct
-                           | None -> "-"))
-                     policies)
+                r.benchmark :: sched :: string_of_int n
+                :: cell (fun c -> string_of_int c.cycles) Steering.Static
+                :: List.map
+                     (cell (fun c -> Printf.sprintf "%+.1f" c.vs_static_pct))
+                     dynamic)
               cluster_counts)
           scheduler_names)
       rows
@@ -163,9 +124,7 @@ let render rows =
   let aligns =
     Array.of_list
       (Mcsim_util.Text_table.Left :: Left :: Right :: Right
-      :: List.filter_map
-           (fun p -> if p = Steering.Static then None else Some Mcsim_util.Text_table.Right)
-           policies)
+      :: List.map (fun _ -> Mcsim_util.Text_table.Right) dynamic)
   in
   Mcsim_util.Text_table.render ~aligns (header :: body)
   ^ "cycle %% vs static steering under the same compile-time scheduler and cluster\n\

@@ -10,10 +10,10 @@
     count) pair is the baseline the dynamic policies are scored against
     ([vs_static_pct]), and is bit-identical to the pre-steering machine.
 
-    The sweep runs on {!Checkpoint.map_matrix}: one job per benchmark
-    with a cell left to run (program + profile), then one
-    deterministic, independently checkpointable job per missing matrix
-    cell. *)
+    The sweep runs on {!Experiment.run_cells}, the cell runner it
+    shares with {!Cluster_count}: one job per benchmark with a cell
+    left to run (program + profile), then one deterministic,
+    independently checkpointable job per missing matrix cell. *)
 
 type cell = {
   scheduler : string;  (** {!Mcsim_compiler.Pipeline.scheduler_name} *)
@@ -50,7 +50,6 @@ val run :
   ?benchmarks:Mcsim_workload.Spec92.benchmark list ->
   ?topology:Mcsim_cluster.Interconnect.topology ->
   ?retries:int ->
-  ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
   ?checkpoint:string ->
   unit ->
@@ -75,5 +74,4 @@ val csv : row list -> string
 (** One line per cell:
     [benchmark,scheduler,clusters,steering,cycles,ipc,multi_fraction,vs_static_pct]. *)
 
-val cell_json : cell -> Mcsim_obs.Json.t
 val rows_json : row list -> Mcsim_obs.Json.t

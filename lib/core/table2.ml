@@ -22,21 +22,19 @@ type report = {
   failed : (string * string) list;  (** (benchmark, one-line reason) *)
 }
 
+(* One run per {!Experiment.default_schedulers} entry: none, then local. *)
 let row_of_comparison b (c : Experiment.comparison) =
-  let find name =
-    match List.find_opt (fun r -> r.Experiment.scheduler = name) c.Experiment.runs with
-    | Some r -> r
-    | None -> failwith "Table2.run: missing scheduler run"
-  in
-  let none = find "none" and local = find "local" in
-  { benchmark = Spec92.name b;
-    none_pct = none.Experiment.speedup_pct;
-    local_pct = local.Experiment.speedup_pct;
-    single_cycles = c.Experiment.single.Machine.cycles;
-    none_cycles = none.Experiment.dual.Machine.cycles;
-    local_cycles = local.Experiment.dual.Machine.cycles;
-    none_replays = none.Experiment.dual.Machine.replays;
-    local_replays = local.Experiment.dual.Machine.replays }
+  match c.Experiment.runs with
+  | [ none; local ] ->
+    { benchmark = Spec92.name b;
+      none_pct = none.Experiment.speedup_pct;
+      local_pct = local.Experiment.speedup_pct;
+      single_cycles = c.Experiment.single.Machine.cycles;
+      none_cycles = none.Experiment.dual.Machine.cycles;
+      local_cycles = local.Experiment.dual.Machine.cycles;
+      none_replays = none.Experiment.dual.Machine.replays;
+      local_replays = local.Experiment.dual.Machine.replays }
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Row (de)serialization and the global result cache                    *)
@@ -106,7 +104,7 @@ let row_store_unit ?engine ?sampling ?single_config ?dual_config ~max_instrs ~se
    checkpoint already makes reruns cheap, and fresh rows still land in
    the store. *)
 let statuses ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all) ?engine
-    ?sampling ?single_config ?dual_config ?retries ?backoff ?inject_fault ?checkpoint
+    ?sampling ?single_config ?dual_config ?retries ?inject_fault ?checkpoint
     ?trace_cache ?result_cache () =
   let stores = Option.to_list (Option.map (fun dir -> Result_store.open_ ~dir) result_cache) in
   let rows =
@@ -125,18 +123,18 @@ let statuses ?jobs ?(max_instrs = 120_000) ?(seed = 1) ?(benchmarks = Spec92.all
           | Pool.Failed f -> Pool.Failed f)
         bs
         (Experiment.run_many_status ?jobs ~max_instrs ~seed ?engine ?sampling ?single_config
-           ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
+           ?dual_config ?retries ?inject_fault ?checkpoint ?trace_cache
            (List.map Spec92.program bs)))
     { rows with stores }
 
 let run ?jobs ?max_instrs ?seed ?benchmarks ?engine ?sampling ?single_config ?dual_config
-    ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache ?result_cache () =
+    ?retries ?inject_fault ?checkpoint ?trace_cache ?result_cache () =
   Pool.values
     (statuses ?jobs ?max_instrs ?seed ?benchmarks ?engine ?sampling ?single_config
-       ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache ?result_cache ())
+       ?dual_config ?retries ?inject_fault ?checkpoint ?trace_cache ?result_cache ())
 
 let run_report ?jobs ?max_instrs ?seed ?(benchmarks = Spec92.all) ?engine ?sampling
-    ?single_config ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache
+    ?single_config ?dual_config ?retries ?inject_fault ?checkpoint ?trace_cache
     ?result_cache () =
   List.fold_right2
     (fun b st report ->
@@ -146,7 +144,7 @@ let run_report ?jobs ?max_instrs ?seed ?(benchmarks = Spec92.all) ?engine ?sampl
         { report with failed = (Spec92.name b, Pool.failure_message f) :: report.failed })
     benchmarks
     (statuses ?jobs ?max_instrs ?seed ~benchmarks ?engine ?sampling ?single_config
-       ?dual_config ?retries ?backoff ?inject_fault ?checkpoint ?trace_cache ?result_cache ())
+       ?dual_config ?retries ?inject_fault ?checkpoint ?trace_cache ?result_cache ())
     { rows = []; failed = [] }
 
 let pct v = Printf.sprintf "%+.1f" v

@@ -27,7 +27,6 @@ val run :
   ?single_config:Mcsim_cluster.Machine.config ->
   ?dual_config:Mcsim_cluster.Machine.config ->
   ?retries:int ->
-  ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
   ?checkpoint:string ->
   ?trace_cache:string ->
@@ -41,7 +40,7 @@ val run :
 
     [jobs] (default {!Mcsim_util.Pool.default_jobs}) fans the
     independent simulations out over that many domains via
-    {!Experiment.run_many}; the rows are bit-for-bit identical for
+    {!Experiment.run_many_status}; the rows are bit-for-bit identical for
     every [jobs] value. [engine] selects the detailed-model issue logic
     (default [`Wakeup]); rows are identical either way, so a mismatch
     between [~engine:`Scan] and the default is a simulator bug worth
@@ -49,15 +48,15 @@ val run :
     with its sampled estimate — cycle columns become extrapolations
     (see {!Mcsim_sampling.Sampling}).
 
-    [retries]/[backoff]/[inject_fault]/[checkpoint] are the durability
-    knobs of {!Experiment.run_many}: with [checkpoint], completed
+    [retries]/[inject_fault]/[checkpoint] are the durability
+    knobs of {!Experiment.run_many_status}: with [checkpoint], completed
     units are stored in that directory and an interrupted sweep, rerun
     with the same arguments, resumes and produces identical rows. A
     benchmark that fails all its attempts raises here — use
     {!run_report} to degrade it to a report entry instead.
 
     [trace_cache] names a {!Trace_store} directory (see
-    {!Experiment.run_many}): traces are memory-mapped from there on
+    {!Experiment.run_many_status}): traces are memory-mapped from there on
     repeat runs instead of being re-walked; rows are unchanged.
 
     [result_cache] names a {!Result_store} directory — the {e global}
@@ -87,7 +86,6 @@ val run_report :
   ?single_config:Mcsim_cluster.Machine.config ->
   ?dual_config:Mcsim_cluster.Machine.config ->
   ?retries:int ->
-  ?backoff:(int -> float) ->
   ?inject_fault:(job:int -> attempt:int -> bool) ->
   ?checkpoint:string ->
   ?trace_cache:string ->

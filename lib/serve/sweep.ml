@@ -48,22 +48,13 @@ let configs = function
    them; without [clusters] that is the historical default of 2 (even
    for the single-cluster machine, which runs the same native binary the
    dual machine does — the Table-2 methodology). *)
-let flat_trace ?trace_cache ?clusters ~scheduler ~seed ~max_instrs bench =
-  let clusters = Option.value clusters ~default:2 in
-  let walk () =
-    let prog = Spec92.program bench in
-    let profile = Mcsim_trace.Walker.profile ~seed prog in
-    let c = Pipeline.compile ~clusters ~profile ~scheduler prog in
-    Mcsim_trace.Walker.trace_flat ~seed ~max_instrs c.Pipeline.mach
-  in
-  match trace_cache with
-  | None -> walk ()
-  | Some dir ->
-    let key =
-      Mcsim.Experiment.trace_key ~clusters ~seed ~max_instrs ~benchmark:(Spec92.name bench)
-        scheduler
-    in
-    fst (Mcsim.Trace_store.load_or_build (Mcsim.Trace_store.open_ ~dir) key walk)
+let flat_trace ?trace_cache ?(clusters = 2) ~scheduler ~seed ~max_instrs bench =
+  Mcsim.Experiment.trace
+    (Option.map (fun dir -> Mcsim.Trace_store.open_ ~dir) trace_cache)
+    ~clusters ~seed ~max_instrs ~benchmark:(Spec92.name bench) scheduler (fun () ->
+      let prog = Spec92.program bench in
+      let profile = Mcsim_trace.Walker.profile ~seed prog in
+      Pipeline.compile ~clusters ~profile ~scheduler prog)
 
 let manifest_of cfg = function
   | P.Table2 { benchmarks; max_instrs; seed; engine; sampling; _ } ->

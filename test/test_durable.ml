@@ -278,7 +278,7 @@ let int_lookup st xs =
 
 let int_map ?inject_fault st f xs =
   Pool.values
-    (Mcsim.Checkpoint.fill ~backoff:Pool.no_backoff ?inject_fault ~jobs:2 f (int_lookup st xs))
+    (Mcsim.Checkpoint.fill ?inject_fault ~jobs:2 f (int_lookup st xs))
 
 let with_store f =
   with_dir @@ fun dir ->
@@ -333,7 +333,7 @@ let executor_exhausted_unrecorded () =
   with_dir @@ fun dir ->
   let st = Mcsim.Checkpoint.open_ ~dir ~kind:"test" ~manifest:(manifest ()) () in
   (match
-     Mcsim.Checkpoint.map ~retries:2 ~backoff:Pool.no_backoff
+     Mcsim.Checkpoint.map ~retries:2
        ~inject_fault:(fun ~job ~attempt:_ -> job = 1)
        ~jobs:2 (Some st) ~key:string_of_int
        ~encode:(fun y -> [ ("y", Json.Int y) ])
@@ -483,25 +483,28 @@ let resume_prefix_property =
       List.length straight = List.length resumed
       && List.for_all2 (fun (a : Mcsim.Table2.row) b -> a = b) straight resumed)
 
+let ablation_kind name =
+  List.find (fun k -> Mcsim.Ablation.kind_name k = name) Mcsim.Ablation.kinds
+
 let ablation_checkpoint () =
   with_dir @@ fun dir ->
-  let fresh =
-    Mcsim.Ablation.transfer_buffers ~max_instrs:2_000 ~sizes:[ 2; 8 ] ~checkpoint:dir
+  let run ?(max_instrs = 2_000) ?inject_fault name =
+    Mcsim.Ablation.run ~max_instrs ~checkpoint:dir ?inject_fault (ablation_kind name)
       Spec92.Compress
   in
-  let cached =
-    Mcsim.Ablation.transfer_buffers ~max_instrs:2_000 ~sizes:[ 2; 8 ] ~checkpoint:dir
-      ~inject_fault:(fun ~job:_ ~attempt:_ -> true)
-      Spec92.Compress
-  in
+  let fresh = run "buffers" in
+  let cached = run ~inject_fault:(fun ~job:_ ~attempt:_ -> true) "buffers" in
   check Alcotest.bool "cached sweep equals fresh sweep" true (fresh = cached);
-  (* A different point set is a different sweep. *)
-  match
-    Mcsim.Ablation.transfer_buffers ~max_instrs:2_000 ~sizes:[ 2; 4 ] ~checkpoint:dir
-      Spec92.Compress
-  with
-  | _ -> Alcotest.fail "stale ablation checkpoint accepted"
-  | exception Failure msg -> check Alcotest.bool "one-line error" true (one_line msg)
+  (* Another sweep, or the same sweep on a longer trace, is a different
+     sweep. *)
+  List.iter
+    (fun (what, stale) ->
+      match stale () with
+      | _ -> Alcotest.fail ("stale ablation checkpoint accepted: " ^ what)
+      | exception Failure msg ->
+        check Alcotest.bool (what ^ ": one-line error") true (one_line msg))
+    [ ("another kind", fun () -> run "threshold");
+      ("another trace budget", fun () -> run ~max_instrs:3_000 "buffers") ]
 
 let unit_files dir =
   Array.fold_left
@@ -624,10 +627,10 @@ let pinned_sweeps =
     ( "ablation",
       (fun dir ->
         ignore
-          (Mcsim.Ablation.transfer_buffers ~jobs:1 ~max_instrs:2_000 ~sizes:[ 2; 8 ]
-             ~checkpoint:dir Spec92.Compress)),
-      "4ab6d66c996be35e127ad9c3a72d2ffe",
-      [ "2 entries"; "8 entries" ] );
+          (Mcsim.Ablation.run ~jobs:1 ~max_instrs:2_000 ~checkpoint:dir
+             (ablation_kind "buffers") Spec92.Compress)),
+      "9b428166263c5ce24846864ff97da71c",
+      [ "16 entries"; "2 entries"; "32 entries"; "4 entries"; "8 entries" ] );
     ( "reassign",
       (fun dir -> ignore (Mcsim.Reassign.run ~jobs:1 ~phase_iterations:500 ~checkpoint:dir ())),
       "701e9686439243981b658f86d7e9dd07",

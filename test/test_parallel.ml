@@ -113,10 +113,13 @@ let experiment_jobs_invariant () =
 let ablation_ctx_reuse () =
   (* A shared context must give the same sweep as a fresh one. *)
   let bench = Spec92.Compress in
-  let fresh = Mcsim.Ablation.transfer_buffers ~jobs:1 ~max_instrs:4_000 bench in
+  let kind name =
+    List.find (fun k -> Mcsim.Ablation.kind_name k = name) Mcsim.Ablation.kinds
+  in
+  let fresh = Mcsim.Ablation.run ~jobs:1 ~max_instrs:4_000 (kind "buffers") bench in
   let ctx = Mcsim.Ablation.make_ctx ~max_instrs:4_000 bench in
-  let shared = Mcsim.Ablation.transfer_buffers ~jobs:2 ~ctx bench in
-  let unroll = Mcsim.Ablation.unrolling ~jobs:2 ~ctx bench in
+  let shared = Mcsim.Ablation.run ~jobs:2 ~ctx (kind "buffers") bench in
+  let unroll = Mcsim.Ablation.run ~jobs:2 ~ctx (kind "unroll") bench in
   check Alcotest.bool "ctx sweep equals fresh sweep" true (fresh = shared);
   check Alcotest.int "unrolling has all points" 3
     (List.length unroll.Mcsim.Ablation.points)
