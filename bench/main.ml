@@ -397,30 +397,23 @@ let engine_comparison () =
 let ablations () =
   section "Ablations - design choices called out in DESIGN.md";
   let show s = print_string (Mcsim.Ablation.render s); print_newline () in
-  (* One context per benchmark: the profile, native binary/trace,
-     single-cluster baseline and local-scheduler binary are computed once
-     and shared by every sweep on that benchmark. *)
-  let ctx b = Mcsim.Ablation.make_ctx ~max_instrs:ablation_instrs b in
-  let gcc1 = ctx Spec92.Gcc1 in
-  let compress = ctx Spec92.Compress in
-  let tomcatv = ctx Spec92.Tomcatv in
-  let kind name =
-    List.find (fun k -> Mcsim.Ablation.kind_name k = name) Mcsim.Ablation.kinds
+  (* Each sweep makes its benchmark's profile, native trace,
+     single-cluster baseline and local-scheduler trace once, shared by
+     its points. *)
+  let run name b =
+    let kind = List.find (fun k -> Mcsim.Ablation.kind_name k = name) Mcsim.Ablation.kinds in
+    show (Mcsim.Ablation.run ~max_instrs:ablation_instrs kind b)
   in
-  let run ?ctx ?max_instrs name b =
-    show (Mcsim.Ablation.run ?ctx ?max_instrs (kind name) b)
-  in
-  run ~ctx:gcc1 "buffers" Spec92.Gcc1;
-  run ~ctx:compress "threshold" Spec92.Compress;
-  run ~ctx:compress "partitioners" Spec92.Compress;
-  run ~ctx:tomcatv "partitioners" Spec92.Tomcatv;
-  run ~ctx:gcc1 "globals" Spec92.Gcc1;
-  run ~ctx:compress "dq" Spec92.Compress;
-  run ~max_instrs:ablation_instrs "queues" Spec92.Doduc;
-  let su2cor = ctx Spec92.Su2cor in
-  run ~ctx:su2cor "memory" Spec92.Su2cor;
-  run ~ctx:su2cor "mshrs" Spec92.Su2cor;
-  run ~ctx:tomcatv "unroll" Spec92.Tomcatv;
+  run "buffers" Spec92.Gcc1;
+  run "threshold" Spec92.Compress;
+  run "partitioners" Spec92.Compress;
+  run "partitioners" Spec92.Tomcatv;
+  run "globals" Spec92.Gcc1;
+  run "dq" Spec92.Compress;
+  run "queues" Spec92.Doduc;
+  run "memory" Spec92.Su2cor;
+  run "mshrs" Spec92.Su2cor;
+  run "unroll" Spec92.Tomcatv;
   show (Mcsim.Ablation.unrolling_kernel ~max_instrs:ablation_instrs ())
 
 (* ------------------------------------------------------------------ *)

@@ -82,12 +82,15 @@ let retries_arg =
   in
   Arg.(value & opt (nonneg_int ~what:"RETRIES") 0 & info [ "retries" ] ~docv:"N" ~doc)
 
-let checkpoint_arg =
+(* Only table2, run and sample record the command.json that
+   `mcsim resume` reads back; other sweeps are finished by a rerun. *)
+let checkpoint_arg ~resumable =
   let doc =
     "Durable checkpoint directory: record every completed simulation unit under \
      $(docv) and skip units already recorded there, so an interrupted run can be \
-     finished by rerunning the same command or by $(b,mcsim resume) $(docv). The \
-     directory is refused if it was written by a different configuration."
+     finished by rerunning the same command"
+    ^ (if resumable then " or by $(b,mcsim resume) $(docv)" else "")
+    ^ ". The directory is refused if it was written by a different configuration."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc)
 
@@ -422,7 +425,8 @@ let batch_cmd name ~doc sweep outputs jobs =
       batch ~jobs ~checkpoint o sweep;
       if existing then write ()
   in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ sweep $ outputs $ jobs $ checkpoint_arg)
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ sweep $ outputs $ jobs $ checkpoint_arg ~resumable:true)
 
 let table2_cmd =
   batch_cmd "table2" ~doc:"Run the Table-2 experiment (none/local vs single-cluster)."
@@ -697,7 +701,7 @@ let steer_cmd =
              matrix: every steering policy at 2/4/8 clusters, against code compiled \
              with no partitioning effort and with the paper's local scheduler.")
     Term.(const run $ max_instrs_arg $ seed_arg $ benchmarks_arg $ topology_arg $ csv_arg
-          $ jobs_arg $ retries_arg $ checkpoint_arg $ metrics_out_arg)
+          $ jobs_arg $ retries_arg $ checkpoint_arg ~resumable:false $ metrics_out_arg)
 
 let reassign_cmd =
   let run jobs =

@@ -20,28 +20,36 @@ type sweep = {
   points : point list;
 }
 
+(* Per-benchmark work shared by a sweep's points. Each shared value is
+   made by the first point that needs it, on whichever domain runs that
+   point, so a sweep whose points are all recorded makes none of it. *)
 type ctx = {
-  prog : Mcsim_ir.Program.t;
-  profile : Mcsim_ir.Profile.t;
-  native_trace : Mcsim_isa.Flat_trace.t;
-  single_cycles : int;
-  max_instrs : int;
   bench_name : string;
-  mutable local : Mcsim_isa.Flat_trace.t option;
-      (* memoized local-scheduler trace, compiled on first use and
-         shared by every sweep running on this context *)
+  max_instrs : int;
+  prog : Mcsim_ir.Program.t;
+  compiled_trace : Pipeline.scheduler -> Mcsim_isa.Flat_trace.t;
+      (* the program compiled by a scheduler and walked; not shared *)
+  native_trace : unit -> Mcsim_isa.Flat_trace.t;
+  single_cycles : unit -> int;  (* the native binary on the single-cluster machine *)
+  local_trace : unit -> Mcsim_isa.Flat_trace.t;
 }
 
 let ctx_of ~max_instrs ~bench_name prog =
-  let profile = Walker.profile prog in
-  let native = Pipeline.compile ~profile ~scheduler:Pipeline.Sched_none prog in
-  let native_trace = Walker.trace_flat ~max_instrs native.Pipeline.mach in
-  let single = Machine.run_flat (Machine.single_cluster ()) native_trace in
-  { prog; profile; native_trace; single_cycles = single.Machine.cycles; max_instrs;
-    bench_name; local = None }
-
-let make_ctx ?(max_instrs = 60_000) bench =
-  ctx_of ~max_instrs ~bench_name:(Spec92.name bench) (Spec92.program bench)
+  let profile = Pool.once (fun () -> Walker.profile prog) in
+  let compiled_trace scheduler =
+    let c = Pipeline.compile ~profile:(profile ()) ~scheduler prog in
+    Walker.trace_flat ~max_instrs c.Pipeline.mach
+  in
+  let native_trace = Pool.once (fun () -> compiled_trace Pipeline.Sched_none) in
+  { bench_name;
+    max_instrs;
+    prog;
+    compiled_trace;
+    native_trace;
+    single_cycles =
+      Pool.once (fun () ->
+          (Machine.run_flat (Machine.single_cluster ()) (native_trace ())).Machine.cycles);
+    local_trace = Pool.once (fun () -> compiled_trace Pipeline.default_local) }
 
 let dual trace = Machine.run_flat (Machine.dual_cluster ()) trace
 
@@ -81,22 +89,6 @@ let point_of ~single_cycles label (r : Machine.result) =
 (* The sweeps                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [ctx]'s program compiled by [scheduler] and walked. *)
-let compiled_trace ctx scheduler =
-  let c = Pipeline.compile ~profile:ctx.profile ~scheduler ctx.prog in
-  Walker.trace_flat ~max_instrs:ctx.max_instrs c.Pipeline.mach
-
-(* The local-scheduler trace is compiled and walked at most once per
-   context. A sweep whose points read it forces it before fanning out
-   over domains, so the memo write never races. *)
-let local_trace ctx =
-  match ctx.local with
-  | Some t -> t
-  | None ->
-    let t = compiled_trace ctx Pipeline.default_local in
-    ctx.local <- Some t;
-    t
-
 let unroll_label factor =
   if factor = 1 then "no unrolling" else Printf.sprintf "unroll x%d" factor
 
@@ -110,7 +102,6 @@ let unrolled_trace ~max_instrs ~factor prog =
 type kind = {
   name : string;
   title : string;  (* the sweep's [sweep_name] *)
-  local : bool;
   labelled : (string * (ctx -> point)) list;
 }
 
@@ -119,16 +110,13 @@ let kind_name k = k.name
 (* A labelled point whose simulation is compared against the context's
    single-cluster baseline. *)
 let vs_single label run =
-  (label, fun ctx -> point_of ~single_cycles:ctx.single_cycles label (run ctx))
+  (label, fun ctx -> point_of ~single_cycles:(ctx.single_cycles ()) label (run ctx))
 
 (* The dual-cluster machine, adjusted by [f], on the local-scheduler
    trace. *)
-let local_dual f ctx = Machine.run_flat (f (Machine.dual_cluster ())) (local_trace ctx)
+let local_dual f ctx = Machine.run_flat (f (Machine.dual_cluster ())) (ctx.local_trace ())
 
-(* A sweep of [labelled] points. [local] (default: true) says a point
-   may read [local_trace], so [run_on] forces it before fanning out;
-   only a sweep that never reads it may pass [false]. *)
-let kind ?(local = true) name title labelled = { name; title; local; labelled }
+let kind name title labelled = { name; title; labelled }
 
 let unroll =
   kind "unroll" "loop unrolling before the local scheduler (paper section 6)"
@@ -136,7 +124,7 @@ let unroll =
        (fun factor ->
          vs_single (unroll_label factor) (fun ctx ->
              dual
-               (if factor = 1 then local_trace ctx
+               (if factor = 1 then ctx.local_trace ()
                   (* unroll x1 is the identity: this is exactly the
                      local-scheduler binary the context already holds *)
                 else unrolled_trace ~max_instrs:ctx.max_instrs ~factor ctx.prog)))
@@ -152,38 +140,38 @@ let kinds =
                     Machine.operand_buffer_entries = n;
                     result_buffer_entries = n })))
          [ 2; 4; 8; 16; 32 ]);
-    kind ~local:false "threshold" "local-scheduler imbalance threshold"
+    kind "threshold" "local-scheduler imbalance threshold"
       (List.map
          (fun t ->
            vs_single (Printf.sprintf "threshold %d" t) (fun ctx ->
                dual
-                 (compiled_trace ctx
+                 (ctx.compiled_trace
                     (Pipeline.Sched_local { imbalance_threshold = t; window = 0 }))))
          [ 1; 2; 4; 8; 16; 32 ]);
     kind "partitioners" "live-range partitioner"
-      [ vs_single "none" (fun ctx -> dual ctx.native_trace);
-        vs_single "random" (fun ctx -> dual (compiled_trace ctx (Pipeline.Sched_random 7)));
+      [ vs_single "none" (fun ctx -> dual (ctx.native_trace ()));
+        vs_single "random" (fun ctx -> dual (ctx.compiled_trace (Pipeline.Sched_random 7)));
         vs_single "round-robin" (fun ctx ->
-            dual (compiled_trace ctx Pipeline.Sched_round_robin));
+            dual (ctx.compiled_trace Pipeline.Sched_round_robin));
         vs_single "local" (local_dual Fun.id) ];
-    kind ~local:false "globals" "global-register designation (native binary)"
+    kind "globals" "global-register designation (native binary)"
       (List.map
          (fun (label, globals) ->
            vs_single label (fun ctx ->
                Machine.run_flat
                  { (Machine.dual_cluster ()) with
                    Machine.assignment = Assignment.create ~num_clusters:2 ~globals () }
-                 ctx.native_trace))
+                 (ctx.native_trace ())))
          [ ("no globals", []); ("sp only", [ Mcsim_isa.Reg.sp ]);
            ("sp+gp (paper)", [ Mcsim_isa.Reg.sp; Mcsim_isa.Reg.gp ]) ]);
-    kind ~local:false "dq"
+    kind "dq"
       "single-cluster dispatch-queue size (cycles vs the 128-entry baseline)"
       (List.map
          (fun n ->
            vs_single (Printf.sprintf "%d entries" n) (fun ctx ->
                Machine.run_flat
                  { (Machine.single_cluster ()) with Machine.dq_entries = n }
-                 ctx.native_trace))
+                 (ctx.native_trace ())))
          [ 32; 64; 128; 256 ]);
     unroll;
     kind "queues" "dispatch-queue organization (single queue vs per-class queues)"
@@ -209,7 +197,7 @@ let kinds =
                   memory so the sweep isolates the latency, not the baseline. *)
                let memory c = { c with Machine.icache = cache; dcache = cache } in
                let single =
-                 Machine.run_flat (memory (Machine.single_cluster ())) ctx.native_trace
+                 Machine.run_flat (memory (Machine.single_cluster ())) (ctx.native_trace ())
                in
                point_of ~single_cycles:single.Machine.cycles label
                  (local_dual memory ctx) ))
@@ -230,7 +218,6 @@ let kinds =
    the mcsim version via the manifest — anything else that could change
    a point's value changes one of those. *)
 let run_on ?(jobs = Pool.default_jobs ()) ?retries ?inject_fault ?checkpoint ctx kind =
-  if kind.local then ignore (local_trace ctx);
   let store =
     Option.map
       (fun dir ->
@@ -253,9 +240,9 @@ let run_on ?(jobs = Pool.default_jobs ()) ?retries ?inject_fault ?checkpoint ctx
         (fun (_, point) -> point ctx)
         kind.labelled }
 
-let run ?jobs ?ctx ?max_instrs ?retries ?inject_fault ?checkpoint kind bench =
+let run ?jobs ?(max_instrs = 60_000) ?retries ?inject_fault ?checkpoint kind bench =
   run_on ?jobs ?retries ?inject_fault ?checkpoint
-    (match ctx with Some c -> c | None -> make_ctx ?max_instrs bench)
+    (ctx_of ~max_instrs ~bench_name:(Spec92.name bench) (Spec92.program bench))
     kind
 
 (* A hand-written streaming kernel whose iterations are fully independent

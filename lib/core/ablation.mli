@@ -8,11 +8,11 @@
     {!run} executes any of them. {!run} fans the points out through
     {!Checkpoint.map}, one unit per point, over [?jobs] domains (default
     {!Mcsim_util.Pool.default_jobs}); results are bit-for-bit identical
-    for every [jobs] value. It also takes [?ctx]: pass the same {!ctx}
-    to several sweeps over one benchmark to reuse its profile, native
-    trace, single-cluster baseline and (memoized) local-scheduler trace
-    instead of recomputing them per sweep. When [ctx] is given,
-    [max_instrs] is ignored.
+    for every [jobs] value. The points of one sweep share the
+    benchmark's profile, native trace, single-cluster baseline and
+    local-scheduler trace through {!Mcsim_util.Pool.once}: each is made
+    by the first point that needs it, so a sweep whose points are all
+    recorded computes none of them.
 
     [?retries] and [?inject_fault] are the executor's durability knobs,
     and [?checkpoint] its store: with a checkpoint directory, each
@@ -36,16 +36,6 @@ type sweep = {
   points : point list;
 }
 
-type ctx
-(** Per-benchmark work shared across sweeps: program, profile, native
-    trace, single-cluster baseline cycles, and a lazily memoized
-    local-scheduler trace. Safe to share with parallel sweeps: {!run}
-    forces the memo before it fans a sweep's points out. *)
-
-val make_ctx : ?max_instrs:int -> Mcsim_workload.Spec92.benchmark -> ctx
-(** Profile + native compile + trace + single-cluster baseline run for
-    one benchmark ([max_instrs] defaults to 60_000). *)
-
 type kind
 (** One design-space sweep: its CLI name, sweep name and labelled
     points. *)
@@ -63,7 +53,7 @@ val kinds : kind list
       entries — the compress effect's other half (paper §4.2);
     - [unroll]: the §6 loop-unrolling extension — inner loops unrolled
       by 1/2/4 and rescheduled with the local scheduler, against the
-      non-unrolled native baseline (factor 1 reuses the memoized
+      non-unrolled native baseline (factor 1 reuses the shared
       local-scheduler trace);
     - [queues]: the paper's single dispatch queue per cluster vs the
       R10000-style per-class split (§1), at equal total entries;
@@ -77,10 +67,11 @@ val kind_name : kind -> string
 (** The sweep's CLI name: [mcsim ablate NAME BENCHMARK]. *)
 
 val run :
-  ?jobs:int -> ?ctx:ctx -> ?max_instrs:int -> ?retries:int ->
+  ?jobs:int -> ?max_instrs:int -> ?retries:int ->
   ?inject_fault:(job:int -> attempt:int -> bool) -> ?checkpoint:string ->
   kind -> Mcsim_workload.Spec92.benchmark -> sweep
-(** The [kind] sweep on one benchmark (or on [ctx]'s). *)
+(** The [kind] sweep on one benchmark, on traces of [max_instrs]
+    (default 60_000) instructions. *)
 
 val unrolling_kernel :
   ?jobs:int -> ?max_instrs:int -> ?retries:int ->

@@ -132,38 +132,6 @@ let map ?retries ?inject_fault ~jobs ck ~key ~encode ~decode f units =
   Pool.values
     (fill ?retries ?inject_fault ~jobs f (lookup stores ~unit ~encode ~decode units))
 
-let map_matrix ?retries ?inject_fault ~jobs ck ~key ~encode ~decode ~prepare f
-    groups points =
-  let groups = Array.of_list groups in
-  let stores, unit = stores ck ~key:(fun (i, p) -> key groups.(i) p) in
-  let l =
-    lookup stores ~unit ~encode
-      ~decode:(fun (i, p) -> decode groups.(i) p)
-      (List.concat
-         (List.init (Array.length groups) (fun i -> List.map (fun p -> (i, p)) points)))
-  in
-  (* Stage 1: one job per group with a unit left to run. *)
-  let todo =
-    List.sort_uniq Int.compare
-      (List.filter_map
-         (fun ((i, _), hit) -> if Option.is_none hit then Some i else None)
-         l.cached)
-  in
-  let preps = Array.make (Array.length groups) None in
-  List.iter2
-    (fun i p -> preps.(i) <- Some p)
-    todo
-    (Pool.parallel_map ?retries ?inject_fault ~jobs
-       (fun i -> prepare groups.(i))
-       todo);
-  (* Stage 2: one job per missing unit. *)
-  let outs =
-    Pool.values
-      (fill ?retries ?inject_fault ~jobs (fun (i, p) -> f (Option.get preps.(i)) p) l)
-  in
-  let n = List.length points in
-  List.init (Array.length groups) (fun i -> List.filteri (fun j _ -> j / n = i) outs)
-
 let result_fields r = [ ("result", Metrics.result_json r) ]
 let result_of_fields d = Option.bind (Json.member "result" d) Metrics.result_of_json
 

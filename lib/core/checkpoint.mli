@@ -69,7 +69,12 @@ val store : t -> Result_store.t
     to every store as it completes. A sweep without stores runs every
     unit. Because hits never reach the pool, [retries] and
     [inject_fault] see only the units that actually run: fault job
-    indices count misses, in input order. *)
+    indices count misses, in input order.
+
+    Units that share work (a benchmark's program, profile or native
+    trace) share it through {!Mcsim_util.Pool.once} thunks captured by
+    [f], so the work runs on the pool, once, and only if some unit that
+    needs it misses. *)
 
 type ('a, 'b) lookup = {
   stores : Result_store.t list;  (** read in order; every fresh unit is recorded to all *)
@@ -132,26 +137,6 @@ val map :
 (** {!lookup} then {!fill} in a checkpoint, re-raising the first failed
     unit's exception (with its backtrace) once every unit has run; the
     units that completed are recorded either way. *)
-
-val map_matrix :
-  ?retries:int ->
-  ?inject_fault:(job:int -> attempt:int -> bool) ->
-  jobs:int ->
-  t option ->
-  key:('g -> 'a -> string) ->
-  encode:('b -> (string * Mcsim_obs.Json.t) list) ->
-  decode:('g -> 'a -> Mcsim_obs.Json.t -> 'b option) ->
-  prepare:('g -> 'p) ->
-  ('p -> 'a -> 'b) ->
-  'g list ->
-  'a list ->
-  'b list list
-(** {!map} over the [groups × points] matrix, one result list per
-    group. A group's shared preparation ([prepare], e.g. a benchmark's
-    program and profile) runs first, on the pool, once per group that
-    still has a unit to run; a fully recorded group is never prepared.
-    [inject_fault] job indices restart at 0 for the units after the
-    preparations. *)
 
 val result_fields : Mcsim_cluster.Machine.result -> (string * Mcsim_obs.Json.t) list
 (** The unit fields of a sweep cell that is one machine result:

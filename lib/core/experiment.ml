@@ -104,11 +104,11 @@ let simulate ~engine ~sampling cfg trace =
   | Some policy -> Sampling.estimate (Sampling.run_flat ?engine ~policy cfg trace)
 
 let run_sim ~clusters ~seed ~max_instrs ~engine ~sampling ~single_config ~dual_config
-    ~trace_store prep_of = function
+    ~trace_store prep = function
   | Sim_single i ->
-    Out_single (simulate ~engine ~sampling single_config (prep_of i).p_native_trace)
+    Out_single (simulate ~engine ~sampling single_config (prep i).p_native_trace)
   | Sim_sched (i, (name, scheduler)) ->
-    let prep = prep_of i in
+    let prep = prep i in
     let compiled, trace =
       match scheduler with
       | Pipeline.Sched_none -> (prep.p_native, prep.p_native_trace)
@@ -138,8 +138,8 @@ module Json = Mcsim_obs.Json
 let ( let* ) = Option.bind
 
 (* One durable unit per simulation, plus a per-benchmark meta record for
-   the value that stage-1 preparation contributes to the output (the
-   committed trace length). *)
+   the value the preparation contributes to the output (the committed
+   trace length). *)
 let key_meta name = name ^ "/meta"
 let key_single name = name ^ "/single"
 let key_sched name sname = name ^ "/sched/" ^ sname
@@ -234,68 +234,55 @@ let run_many_status ?(jobs = Pool.default_jobs ()) ?(max_instrs = 120_000) ?(see
       checkpoint
   in
   let names = Array.of_list (List.map (fun p -> p.Mcsim_ir.Program.name) progs) in
+  (* A benchmark's preparation is made by the first of its units that
+     runs and shared by the rest; a fully recorded benchmark never
+     makes it. *)
+  let preps =
+    Array.map
+      (fun prog ->
+        Pool.once (fun () -> make_prep ?trace_store ~clusters ~seed ~max_instrs prog))
+      (Array.of_list progs)
+  in
+  (* Stage 1: the per-benchmark meta records (the committed trace
+     length), one job per benchmark that lacks one. *)
+  let metas =
+    let stores, unit = Checkpoint.stores ck ~key:(fun i -> key_meta names.(i)) in
+    Checkpoint.fill ~retries ?inject_fault ~jobs
+      (fun i -> Flat_trace.length (preps.(i) ()).p_native_trace)
+      (Checkpoint.lookup stores ~unit
+         ~encode:(fun n -> [ ("trace_instrs", Json.Int n) ])
+         ~decode:(fun _ d -> Option.bind (Json.member "trace_instrs" d) Json.get_int)
+         (List.init (Array.length names) Fun.id))
+    |> Array.of_list
+  in
+  let prepared i = match metas.(i) with Pool.Done _ -> true | Pool.Failed _ -> false in
+  (* Stage 2: every still-missing (benchmark x scheduler x machine-config)
+     simulation is its own job, for benchmarks whose meta record
+     succeeded. Job order fixes result order; which domain runs which
+     job is irrelevant because jobs share nothing mutable. *)
   let sims =
     let stores, unit = Checkpoint.stores ck ~key:(sim_key names) in
     Checkpoint.lookup stores ~unit ~encode:out_fields ~decode:out_of_fields
       (List.concat
          (List.mapi
             (fun i _ ->
-              Sim_single i :: List.map (fun s -> Sim_sched (i, s)) default_schedulers)
+              if prepared i then
+                Sim_single i :: List.map (fun s -> Sim_sched (i, s)) default_schedulers
+              else [])
             progs))
-  in
-  let has_miss i =
-    List.exists (fun (spec, out) -> sim_bench spec = i && Option.is_none out) sims.cached
-  in
-  (* Stage 1: per-benchmark preparation, one job per benchmark that
-     still has a simulation to run or lacks its meta record. A prep
-     unit's value is the committed trace length plus, when it ran, the
-     prep itself. *)
-  let metas =
-    let stores, unit = Checkpoint.stores ck ~key:(fun (i, _) -> key_meta names.(i)) in
-    Checkpoint.lookup stores ~unit
-      ~encode:(fun (n, _) -> [ ("trace_instrs", Json.Int n) ])
-      ~decode:(fun _ d ->
-        let* n = Option.bind (Json.member "trace_instrs" d) Json.get_int in
-        Some (n, None))
-      (List.mapi (fun i p -> (i, p)) progs)
-  in
-  let preps =
-    Checkpoint.fill ~retries ?inject_fault ~jobs
-      (fun (_, prog) ->
-        let p = make_prep ?trace_store ~clusters ~seed ~max_instrs prog in
-        (Flat_trace.length p.p_native_trace, Some p))
-      { metas with
-        cached =
-          List.map
-            (fun (((i, _) as u), m) -> (u, if has_miss i then None else m))
-            metas.cached }
-    |> Array.of_list
-  in
-  let prepared i = match preps.(i) with Pool.Done _ -> true | Pool.Failed _ -> false in
-  let prep_of i =
-    match preps.(i) with
-    | Pool.Done (_, Some p) -> p
-    | Pool.Done (_, None) | Pool.Failed _ -> assert false
-  in
-  (* Stage 2: every still-missing (benchmark x scheduler x machine-config)
-     simulation is its own job, for benchmarks whose preparation
-     succeeded. Job order fixes result order; which domain runs which
-     job is irrelevant because jobs share nothing mutable. *)
-  let sims =
-    { sims with cached = List.filter (fun (spec, _) -> prepared (sim_bench spec)) sims.cached }
   in
   let outs =
     List.combine (List.map fst sims.cached)
       (Checkpoint.fill ~retries ?inject_fault ~jobs
          (run_sim ~clusters ~seed ~max_instrs ~engine ~sampling ~single_config ~dual_config
-            ~trace_store prep_of)
+            ~trace_store (fun i -> preps.(i) ()))
          sims)
   in
   List.mapi
     (fun i benchmark ->
-      match preps.(i) with
+      match metas.(i) with
       | Pool.Failed f -> Pool.Failed f
-      | Pool.Done (trace_instrs, _) -> (
+      | Pool.Done trace_instrs -> (
         let statuses =
           List.filter_map (fun (spec, st) -> if sim_bench spec = i then Some st else None) outs
         in
@@ -328,20 +315,33 @@ let run_cells ?(jobs = Pool.default_jobs ()) ?retries ?inject_fault ?checkpoint 
         Checkpoint.open_ ~dir ~kind ~manifest ~extra ())
       checkpoint
   in
-  (* One job per benchmark with a cell left to run (program + profile),
-     then one per missing cell; each compiles, traces and simulates
-     independently from the shared immutable profile, so the rows are
-     the same for every [jobs]. *)
-  Checkpoint.map_matrix ?retries ?inject_fault ~jobs store
-    ~key:(fun b p -> Spec92.name b ^ "/" ^ key p)
-    ~encode:Checkpoint.result_fields
-    ~decode:(fun _ _ -> Checkpoint.result_of_fields)
-    ~prepare:(fun b ->
-      let prog = Spec92.program b in
-      (prog, Walker.profile ~seed prog))
-    (fun (prog, profile) p ->
-      let clusters, scheduler, cfg = cell p in
-      Machine.run_flat cfg
-        (trace None ~clusters ~seed ~max_instrs ~benchmark:prog.Mcsim_ir.Program.name
-           scheduler (fun () -> Pipeline.compile ~clusters ~profile ~scheduler prog)))
-    benchmarks points
+  (* One job per missing cell; a benchmark's program and profile are
+     made by the first of its cells that runs and shared by the rest.
+     Each cell compiles, traces and simulates independently from that
+     immutable profile, so the rows are the same for every [jobs]. *)
+  let cells =
+    List.concat_map
+      (fun b ->
+        let prep =
+          Pool.once (fun () ->
+              let prog = Spec92.program b in
+              (prog, Walker.profile ~seed prog))
+        in
+        List.map (fun p -> (b, prep, p)) points)
+      benchmarks
+  in
+  let outs =
+    Checkpoint.map ?retries ?inject_fault ~jobs store
+      ~key:(fun (b, _, p) -> Spec92.name b ^ "/" ^ key p)
+      ~encode:Checkpoint.result_fields
+      ~decode:(fun _ -> Checkpoint.result_of_fields)
+      (fun (_, prep, p) ->
+        let prog, profile = prep () in
+        let clusters, scheduler, cfg = cell p in
+        Machine.run_flat cfg
+          (trace None ~clusters ~seed ~max_instrs ~benchmark:prog.Mcsim_ir.Program.name
+             scheduler (fun () -> Pipeline.compile ~clusters ~profile ~scheduler prog)))
+      cells
+  in
+  let n = List.length points in
+  List.mapi (fun i _ -> List.filteri (fun j _ -> j / n = i) outs) benchmarks

@@ -103,7 +103,7 @@ val run_many_status :
     instead of aborting the sweep.
 
     [checkpoint] names a durable {!Checkpoint} directory: every
-    completed unit (per-benchmark preparation metadata, the
+    completed unit (a benchmark's committed trace length, its
     single-cluster baseline, each scheduler's dual run) is recorded
     there as it finishes and skipped on the next call, so an
     interrupted sweep resumes where it died (only failed units rerun)
@@ -116,7 +116,8 @@ val run_many_status :
     Determinism: every simulation derives all randomness from [seed]
     (and, under [sampling], the policy's own seed) plus its task
     description, and tasks share only immutable data (the per-benchmark
-    profile, native binary and trace), so the output is bit-for-bit
+    profile, native binary and trace, made once by the first task that
+    needs them — {!Mcsim_util.Pool.once}), so the output is bit-for-bit
     identical for every [jobs] value — and, because cached units are
     exact recordings, for every interruption point.
 
@@ -162,10 +163,10 @@ val run_cells :
     with [seed] up to [max_instrs] instructions and run on [config].
     One result list per benchmark, cells in order.
 
-    The cells run on {!Checkpoint.map_matrix} over [jobs] domains
-    (default {!Mcsim_util.Pool.default_jobs}): each benchmark with a
-    cell left to run is prepared (program and profile) once, then every
-    missing cell is its own unit; results are identical for every
-    [jobs]. With [checkpoint] the directory's identity is [kind], a
+    The cells run on {!Checkpoint.map} over [jobs] domains (default
+    {!Mcsim_util.Pool.default_jobs}), every missing cell its own unit;
+    a benchmark's program and profile are made once, by the first of
+    its cells that runs ({!Mcsim_util.Pool.once}). Results are
+    identical for every [jobs]. With [checkpoint] the directory's identity is [kind], a
     manifest of [config], [seed], [max_instrs] and the benchmark list,
     and [extra]; each cell is recorded under ["BENCHMARK/" ^ key c]. *)

@@ -11,9 +11,9 @@
     ([vs_static_pct]), and is bit-identical to the pre-steering machine.
 
     The sweep runs on {!Experiment.run_cells}, the cell runner it
-    shares with {!Cluster_count}: one job per benchmark with a cell
-    left to run (program + profile), then one deterministic,
-    independently checkpointable job per missing matrix cell. *)
+    shares with {!Cluster_count}: one deterministic, independently
+    checkpointable job per missing matrix cell, the cells of one
+    benchmark sharing its program and profile. *)
 
 type cell = {
   scheduler : string;  (** {!Mcsim_compiler.Pipeline.scheduler_name} *)

@@ -163,11 +163,6 @@ let sub t ~pos ~len =
     table = t.table;
   }
 
-let iter_dynamic f t =
-  for i = 0 to length t - 1 do
-    f (dynamic t i)
-  done
-
 let to_dynamic_array t = Array.init (length t) (dynamic t)
 
 module Builder = struct

@@ -48,10 +48,9 @@ val length : t -> int
 
 (** {1 Per-index accessors}
 
-    All of these are allocation-free except {!dynamic}, which materialises
-    a record. None of them mutate the trace, so concurrent use from
-    multiple domains is safe. Indices are not bounds-checked beyond the
-    underlying Bigarray check. *)
+    All of these are allocation-free. None of them mutate the trace, so
+    concurrent use from multiple domains is safe. Indices are not
+    bounds-checked beyond the underlying Bigarray check. *)
 
 val pc : t -> int -> int
 val is_load : t -> int -> bool
@@ -72,9 +71,6 @@ val instr : t -> int -> Instr.t
     pc return the same physical record (hand-built traces that reuse a pc
     for different instructions decode fresh instead). *)
 
-val dynamic : t -> int -> Instr.dynamic
-(** Full dynamic record with [seq = i]; allocates. *)
-
 (** {1 Whole-trace operations} *)
 
 val sub : t -> pos:int -> len:int -> t
@@ -87,8 +83,6 @@ val of_dynamic_array : Instr.dynamic array -> t
 val to_dynamic_array : t -> Instr.dynamic array
 (** Materialise records ([seq = i]); inverse of {!of_dynamic_array} for
     traces whose [seq] equals the index. *)
-
-val iter_dynamic : (Instr.dynamic -> unit) -> t -> unit
 
 (** {1 Builder} *)
 

@@ -39,6 +39,21 @@ let seeded_faults ~seed ~rate ~job ~attempt =
   let mix = (seed * 0x9E3779B9) lxor (job * 0x85EBCA6B) lxor (attempt * 0xC2B2AE35) in
   Rng.bernoulli (Rng.create mix) rate
 
+(* The mutex is held while [f] runs, so concurrent callers block
+   until the value exists; [Mutex.protect] releases it if [f] raises,
+   leaving the slot empty for the next caller. *)
+let once f =
+  let m = Mutex.create () in
+  let v = ref None in
+  fun () ->
+    Mutex.protect m (fun () ->
+        match !v with
+        | Some x -> x
+        | None ->
+          let x = f () in
+          v := Some x;
+          x)
+
 (* One job, run to completion or to retry exhaustion. *)
 let run_job ~retries ~backoff ~inject_fault f input i =
   let rec attempt k =

@@ -47,6 +47,16 @@ val failure_message : failure -> string
 (** One-line human-readable rendering:
     ["failed after N attempt(s): <exn>"]. *)
 
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] is a thunk that runs [f] on its first call and returns
+    that value on every later one — the way sweep units running on
+    different domains share per-benchmark work (a profile, a trace, a
+    baseline run). Unlike stdlib [Lazy], it is safe to force from
+    several domains at once: a concurrent caller waits for the running
+    call to finish. An exception is not remembered: it propagates to
+    the caller whose call raised, and the next call runs [f] again, so
+    a retried unit retries the shared work too. *)
+
 val default_backoff : int -> float
 (** The default retry delay: [default_backoff k] is the seconds slept
     before retry [k] (1-based), doubling from 5 ms and capped at 250 ms

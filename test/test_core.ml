@@ -276,16 +276,82 @@ let ablation_kinds_pinned () =
   check Alcotest.(list string) "kinds in CLI order"
     (List.map (fun (n, _, _) -> n) pinned)
     (List.map Mcsim.Ablation.kind_name Mcsim.Ablation.kinds);
-  let ctx = Mcsim.Ablation.make_ctx ~max_instrs:2_000 Spec92.Compress in
   List.iter
     (fun (name, sweep_name, points) ->
-      let s = Mcsim.Ablation.run ~jobs:1 ~ctx (ablation_kind name) Spec92.Compress in
+      let s =
+        Mcsim.Ablation.run ~jobs:1 ~max_instrs:2_000 (ablation_kind name) Spec92.Compress
+      in
       check Alcotest.string (name ^ ": sweep name") sweep_name s.Mcsim.Ablation.sweep_name;
       check Alcotest.(list (pair string int)) (name ^ ": labels and cycles") points
         (List.map
            (fun p -> (p.Mcsim.Ablation.label, p.Mcsim.Ablation.dual_cycles))
            s.Mcsim.Ablation.points))
     pinned
+
+(* The steer and cluster-count cells and the Table-2 row on compress at
+   2000 instructions, as the drivers computed them while each staged
+   its per-benchmark preparation on its own: sharing that work must not
+   move a cycle. Both matrices run on two domains, so cells of one
+   benchmark race for its shared profile. *)
+let steer_cells_pinned () =
+  let pinned =
+    [ (("none", 2), [ 1803; 1822; 1782; 1813; 1781 ]);
+      (("none", 4), [ 3338; 2989; 1869; 4284; 1868 ]);
+      (("none", 8), [ 12073; 11715; 2340; 14029; 3218 ]);
+      (("local", 2), [ 1752; 1822; 1756; 1831; 1763 ]);
+      (("local", 4), [ 2369; 2549; 1863; 3353; 1937 ]);
+      (("local", 8), [ 7750; 9798; 2389; 11276; 3447 ]) ]
+  in
+  match Mcsim.Steer.run ~jobs:2 ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] () with
+  | [ row ] ->
+    let name = Mcsim_cluster.Steering.to_string in
+    check
+      Alcotest.(list (pair (triple string int string) int))
+      "(scheduler, clusters, steering) -> cycles"
+      (List.concat_map
+         (fun ((scheduler, clusters), cycles) ->
+           List.map2
+             (fun steering c -> ((scheduler, clusters, name steering), c))
+             Mcsim_cluster.Steering.all cycles)
+         pinned)
+      (List.map
+         (fun (c : Mcsim.Steer.cell) ->
+           ((c.Mcsim.Steer.scheduler, c.Mcsim.Steer.clusters, name c.Mcsim.Steer.steering),
+            c.Mcsim.Steer.cycles))
+         row.Mcsim.Steer.cells)
+  | rows -> Alcotest.failf "expected one steer row, got %d" (List.length rows)
+
+let cluster_count_cells_pinned () =
+  match
+    Mcsim.Cluster_count.run ~jobs:2 ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ()
+  with
+  | [ row ] ->
+    check Alcotest.int "single-cluster baseline" 1658 row.Mcsim.Cluster_count.single_cycles;
+    check
+      Alcotest.(list (pair (pair int string) int))
+      "(clusters, topology) -> cycles"
+      [ ((1, "p2p"), 1658); ((2, "p2p"), 1752); ((2, "ring"), 1752); ((2, "xbar"), 1822);
+        ((4, "p2p"), 2369); ((4, "ring"), 2600); ((4, "xbar"), 3023);
+        ((8, "p2p"), 7750); ((8, "ring"), 10206); ((8, "xbar"), 8525) ]
+      (List.map
+         (fun (c : Mcsim.Cluster_count.cell) ->
+           ( ( c.Mcsim.Cluster_count.clusters,
+               Mcsim_cluster.Interconnect.to_string c.Mcsim.Cluster_count.topology ),
+             c.Mcsim.Cluster_count.cycles ))
+         row.Mcsim.Cluster_count.cells)
+  | rows -> Alcotest.failf "expected one clusters row, got %d" (List.length rows)
+
+let table2_row_pinned () =
+  check
+    Alcotest.(list (pair string (list int)))
+    "benchmark -> single, none, local cycles"
+    [ ("compress", [ 1658; 1803; 1752 ]) ]
+    (List.map
+       (fun (r : Mcsim.Table2.row) ->
+         ( r.Mcsim.Table2.benchmark,
+           [ r.Mcsim.Table2.single_cycles; r.Mcsim.Table2.none_cycles;
+             r.Mcsim.Table2.local_cycles ] ))
+       (Mcsim.Table2.run ~jobs:2 ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ()))
 
 let suite =
   ( "core",
@@ -312,4 +378,7 @@ let suite =
       case "ablation: transfer buffers" ablation_buffers;
       case "ablation: partitioners" ablation_partitioners;
       case "ablation: every kind's name, labels and cycles are pinned"
-        ablation_kinds_pinned ] )
+        ablation_kinds_pinned;
+      case "steer: every cell's cycles are pinned" steer_cells_pinned;
+      case "clusters: every cell's cycles are pinned" cluster_count_cells_pinned;
+      case "table 2: compress row's cycles are pinned" table2_row_pinned ] )

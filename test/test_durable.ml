@@ -516,9 +516,9 @@ let cluster_count_checkpoint () =
     Mcsim.Cluster_count.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ] ()
   in
   with_dir @@ fun dir ->
-  (* Interrupt the sweep: the single prep job (job 0 of stage 1) runs,
-     then all but the first cell of the (benchmark x clusters x
-     topology) fan-out die. *)
+  (* Interrupt the sweep: the first cell (job 0, which also makes the
+     benchmark's shared program and profile) runs, then every later
+     cell of the (benchmark x clusters x topology) fan-out dies. *)
   (match
      Mcsim.Cluster_count.run ~max_instrs:2_000 ~benchmarks:[ Spec92.Compress ]
        ~checkpoint:dir

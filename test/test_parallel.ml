@@ -63,6 +63,45 @@ let row_eq (a : Mcsim.Table2.row) (b : Mcsim.Table2.row) =
   && a.Mcsim.Table2.none_replays = b.Mcsim.Table2.none_replays
   && a.Mcsim.Table2.local_replays = b.Mcsim.Table2.local_replays
 
+(* Two domains force one [once] thunk together: [f] runs once and both
+   get the very value it made. [f] sleeps so the second caller arrives
+   while the first call is still running. *)
+let once_races () =
+  let runs = Atomic.make 0 in
+  let shared =
+    Pool.once (fun () ->
+        Atomic.incr runs;
+        Unix.sleepf 0.02;
+        ref 42)
+  in
+  let ready = Atomic.make 0 in
+  let force () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    shared ()
+  in
+  let other = Domain.spawn force in
+  let mine = force () in
+  let theirs = Domain.join other in
+  check Alcotest.int "f ran once" 1 (Atomic.get runs);
+  check Alcotest.bool "both callers got the same value" true (mine == theirs)
+
+let once_retries_after_exception () =
+  let calls = ref 0 in
+  let shared =
+    Pool.once (fun () ->
+        incr calls;
+        if !calls = 1 then failwith "first call fails" else !calls)
+  in
+  (match shared () with
+  | _ -> Alcotest.fail "expected the first call to raise"
+  | exception Failure _ -> ());
+  check Alcotest.int "the next call runs f again" 2 (shared ());
+  check Alcotest.int "and its value is kept" 2 (shared ());
+  check Alcotest.int "f ran twice in all" 2 !calls
+
 let table2_jobs_invariant () =
   (* Short traces keep this affordable; every benchmark and both machine
      configs are still exercised. *)
@@ -111,18 +150,29 @@ let experiment_jobs_invariant () =
     serial par
 
 let ablation_ctx_reuse () =
-  (* A shared context must give the same sweep as a fresh one. *)
+  (* A sweep's points share its benchmark's baseline and local-scheduler
+     trace across domains: sharing must give the points a serial run
+     gives, and every sweep that reads the local-scheduler trace on the
+     paper's dual-cluster machine must see the same cycles. *)
   let bench = Spec92.Compress in
-  let kind name =
-    List.find (fun k -> Mcsim.Ablation.kind_name k = name) Mcsim.Ablation.kinds
+  let run ~jobs name =
+    Mcsim.Ablation.run ~jobs ~max_instrs:4_000
+      (List.find (fun k -> Mcsim.Ablation.kind_name k = name) Mcsim.Ablation.kinds)
+      bench
   in
-  let fresh = Mcsim.Ablation.run ~jobs:1 ~max_instrs:4_000 (kind "buffers") bench in
-  let ctx = Mcsim.Ablation.make_ctx ~max_instrs:4_000 bench in
-  let shared = Mcsim.Ablation.run ~jobs:2 ~ctx (kind "buffers") bench in
-  let unroll = Mcsim.Ablation.run ~jobs:2 ~ctx (kind "unroll") bench in
-  check Alcotest.bool "ctx sweep equals fresh sweep" true (fresh = shared);
-  check Alcotest.int "unrolling has all points" 3
-    (List.length unroll.Mcsim.Ablation.points)
+  let serial = run ~jobs:1 "buffers" in
+  let shared = run ~jobs:2 "buffers" in
+  check Alcotest.bool "two-domain sweep equals serial sweep" true (serial = shared);
+  let cycles s label =
+    (List.find (fun p -> p.Mcsim.Ablation.label = label) s.Mcsim.Ablation.points)
+      .Mcsim.Ablation.dual_cycles
+  in
+  let unroll = run ~jobs:2 "unroll" in
+  check Alcotest.int "unrolling has all points" 3 (List.length unroll.Mcsim.Ablation.points);
+  check Alcotest.int "no unrolling = 8 entries" (cycles shared "8 entries")
+    (cycles unroll "no unrolling");
+  check Alcotest.int "local partitioner = 8 entries" (cycles shared "8 entries")
+    (cycles (run ~jobs:2 "partitioners") "local")
 
 let suite =
   ( "parallel",
@@ -132,6 +182,8 @@ let suite =
       case "parallel_map: rejects jobs=0" pool_invalid_jobs;
       case "parallel_map: propagates the first exception" pool_exception_propagates;
       QCheck_alcotest.to_alcotest pool_matches_list_map;
+      case "once: two racing domains run f once and share its value" once_races;
+      case "once: an exception is not remembered" once_retries_after_exception;
       case "Table2.run is jobs-invariant" table2_jobs_invariant;
       case "Experiment.run_many is jobs-invariant" experiment_jobs_invariant;
       case "Ablation context reuse is transparent" ablation_ctx_reuse ] )
